@@ -24,7 +24,6 @@ from .errors import (
     DegenerateRatioError,
     IndexRangeError,
     InvariantViolationError,
-    JacobiConvergenceError,
     MonotonicityError,
     NotEccentricError,
     ParameterError,

@@ -242,7 +242,7 @@ def doubling_inequality_check(a, b, n: int, mode: str = "commuting") -> tuple[bo
     ``commuting`` mode takes two non-increasing eigenvalue lists of operators
     that are diagonal in the same basis, so the spectrum of the sum is the
     sorted list of termwise sums.  ``matrix`` mode takes two PSD symmetric
-    matrices (dim <= 64) and reads all three spectra off the Jacobi solver.
+    matrices (dim <= 64) and reads all three spectra off ``eig_sym_small``.
     Both inequalities are checked with slack 1e-10 * sigma_2n(A+B).
     """
     if n < 1:

@@ -1,4 +1,4 @@
-"""Cyclic Jacobi eigensolver for small dense symmetric matrices.
+"""Eigenvalues of small dense symmetric matrices.
 
 Used to validate the doubling inequality on genuinely non-commuting
 positive matrix pairs, where spectra cannot be read off termwise.
@@ -10,79 +10,31 @@ import math
 
 import numpy as np
 
-from .errors import JacobiConvergenceError, ParameterError
+from .errors import ParameterError
 
 MAX_DIM = 64
-_SWEEP_BUDGET = 40
-_OFF_TOL = 1e-12  # relative to the Frobenius norm
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eig_sym_small(matrix, sweep_budget: int = _SWEEP_BUDGET) -> np.ndarray:
+def eig_sym_small(matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted non-increasing.
 
-    Runs cyclic Jacobi rotations until the off-diagonal Frobenius norm
-    drops below 1e-12 times the Frobenius norm of the input.  The input
-    must be square, at most 64x64 and symmetric to 1e-12 relative.
+    The input must be square, at most 64x64, of finite Frobenius norm and
+    symmetric to 1e-12 relative.  The spectrum of its symmetric part comes
+    from LAPACK (``numpy.linalg.eigvalsh``).
     """
-    a = np.array(matrix, dtype=float, copy=True)
+    a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n > MAX_DIM:
         raise ParameterError(f"matrix dimension {n} exceeds the limit {MAX_DIM}")
     fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n)
-    asym = float(np.max(np.abs(a - a.T)))
+    if not math.isfinite(fro):
+        # NaN and inf entries land here (and norms beyond the float range)
+        raise ParameterError(f"matrix norm is not finite ({fro:g})")
+    asym = float(np.max(np.abs(a - a.T), initial=0.0))
     if asym > 1e-12 * fro:
         raise ParameterError(
             f"matrix is not symmetric: max|A - A^T| = {asym:g} vs norm {fro:g}"
         )
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return np.array([a[0, 0]])
-
-    tol = _OFF_TOL * fro
-    # rotations below this leave the off-diagonal norm under tol even if
-    # every skipped entry survives: sqrt(n^2/2) * (tol/n) < tol
-    skip = tol / n
-    for _ in range(sweep_budget):
-        if _offdiag_norm(a) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise JacobiConvergenceError(
-            f"no convergence after {sweep_budget} sweeps "
-            f"(off-diagonal norm {_offdiag_norm(a):g}, tolerance {tol:g})"
-        )
-    vals = np.sort(np.diag(a))[::-1]
-    return vals
+    return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]

@@ -33,10 +33,6 @@ class NotEccentricError(SingtraceError):
     """No ratio witnesses were found within the requested horizon."""
 
 
-class JacobiConvergenceError(SingtraceError, ArithmeticError):
-    """The Jacobi eigensolver did not converge within its sweep budget."""
-
-
 class InvariantViolationError(SingtraceError):
     """A computed quantity violated an inequality it is required to satisfy."""
 

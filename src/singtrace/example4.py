@@ -30,6 +30,7 @@ from .summation import NeumaierSum
 
 DIRECT_GUARD = 1 << 26     # iteration guard for the term-by-term path
 _SHIFT_FLOOR = -1100       # 2**e underflows to zero below roughly -1074
+_FLOAT_INT_LIMIT = (1 << 1024) - (1 << 970)  # float(int) overflows from here
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,20 @@ def _block_partial(params: AqParams, k: int, top: int) -> float:
     return h_part + coeff * geo.value
 
 
+def _block_floats_fit(params: AqParams, s: int, r: int) -> bool:
+    """Whether every integer _block_partial converts to float stays finite.
+
+    The largest one is n_{s+1} - n_s, or n_{s+1} itself when r = q: the
+    shifted sum of the trailing block then runs up to m = p = n_{s+1}.
+    """
+    top_exp = (s + 1) * params.q
+    if top_exp > 1024:  # n_{s+1} - n_s >= n_{s+1} / 2 >= 2^1024
+        return False
+    top = 1 << top_exp
+    largest = top if r == params.q else top - params.exponent(s)
+    return largest < _FLOAT_INT_LIMIT
+
+
 def cesaro_block(params: AqParams, s: int, r: int) -> float:
     """Block-accelerated Cesaro value at p = 2^(sq + r), 1 <= r <= q.
 
@@ -152,8 +167,10 @@ def cesaro_block(params: AqParams, s: int, r: int) -> float:
     if s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
     exp_p = s * q + r
-    if exp_p > 10_000_000:
-        raise ParameterError(f"p = 2^{exp_p} is out of range")
+    if not _block_floats_fit(params, s, r):
+        raise ParameterError(
+            f"p = 2^{exp_p} is beyond the float range of the block path"
+        )
     p = 1 << exp_p
 
     acc = NeumaierSum()

@@ -179,6 +179,9 @@ class SpectralSequence:
                 if start < tn <= n:
                     start, s, c = tn, ts, tc
                     best_tip = idx
+            if start == n:
+                # served as saved: a new tip would only evict a live cursor
+                return s + c
             acc = NeumaierSum(s, c)
             for i in range(start + 1, n + 1):
                 acc.add(self._mu(i))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParameterError, PartitionError, SequenceSpecError
-from .summation import NeumaierSum, neumaier_sum
+from .summation import NeumaierSum, neumaier_sum, oscillation_of_tail
 
 _INT64_LIMIT = 1 << 63
 
@@ -208,7 +208,7 @@ def window_mean(a: Callable, w: WindowState) -> StateEstimate:
         return StateEstimate(
             mean=hits / w.n,
             count=w.n,
-            oscillation=_tail_oscillation(prefix),
+            oscillation=oscillation_of_tail(prefix, w.n),
             hits=hits,
         )
     acc = NeumaierSum()
@@ -219,16 +219,8 @@ def window_mean(a: Callable, w: WindowState) -> StateEstimate:
     return StateEstimate(
         mean=acc.value / w.n,
         count=w.n,
-        oscillation=_tail_oscillation(prefix),
+        oscillation=oscillation_of_tail(prefix, w.n),
     )
-
-
-def _tail_oscillation(prefix_means: list) -> float:
-    if not prefix_means:
-        return 0.0
-    q = max(1, len(prefix_means) // 4)
-    tail = prefix_means[-q:]
-    return max(tail) - min(tail)
 
 
 # ---------------------------------------------------------------------------

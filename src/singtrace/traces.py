@@ -208,7 +208,9 @@ def additivity_defect(
     A and B must be simultaneously diagonal, so the spectrum of A+B is the
     termwise sum.  The bound adds the two slack terms of the inequality
     chain: the window mean of |S_2n - S_n|(A+B)/|S_n(T)| and the sup ratio
-    times the window mean of |1 - S_2n(T)/S_n(T)|.  The defect must not
+    times the window mean of |1 - S_2n(T)/S_n(T)|.  When exactly one of A, B
+    is summable, S(A+B) = S(A) + S(B) + tr of that one, so the bound also
+    carries |tr| times the window mean of 1/|S_n(T)|.  The defect must not
     exceed the bound (up to 1e-10); a violation raises.
     """
     ab = SumSequence(a_seq, b_seq)
@@ -221,6 +223,7 @@ def additivity_defect(
 
     gap_terms = []
     trend_terms = []
+    inverse_terms = []
     ratio_sup = 0.0
     for k in range(1, omega + 1):
         n = 1 << k
@@ -228,8 +231,12 @@ def additivity_defect(
         s_ab = ab.S(n)
         gap_terms.append(abs(ab.S(2 * n) - s_ab) / abs(st))
         trend_terms.append(abs(1.0 - t_seq.S(2 * n) / st))
+        inverse_terms.append(1.0 / abs(st))
         ratio_sup = max(ratio_sup, abs(s_ab / st))
     bound = neumaier_mean(gap_terms) + ratio_sup * neumaier_mean(trend_terms)
+    summable = [x for x in (a_seq, b_seq) if x.summability().classification == SUMMABLE]
+    if len(summable) == 1:
+        bound += abs(summable[0].summability().trace) * neumaier_mean(inverse_terms)
     if defect > bound + 1e-10:
         raise InvariantViolationError(
             f"additivity defect {defect:g} exceeds its bound {bound:g}"

@@ -173,6 +173,11 @@ def test_exit_codes(capsys):
     assert main(["not-a-command"]) == 2
     code, _, err = run_cli("state", "--set", "squares", capsys=capsys)  # missing window is fine: sweep
     assert code == 0
+    code, _, err = run_cli(
+        "example4", "--q", "3", "--s", "341", "--r", "1", "--method", "block",
+        capsys=capsys,
+    )
+    assert code == 1 and "float range" in err
 
 
 def test_env_thread_count_validated(monkeypatch, capsys):

@@ -1,5 +1,6 @@
-"""Jacobi eigensolver against closed forms and the numpy oracle."""
+"""Symmetric eigenvalues against closed forms and an mpmath oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,14 +25,21 @@ def test_similarity_invariance():
     assert eig_sym_small(m) == pytest.approx([3.0, 1.0], abs=1e-12)
 
 
-def test_against_numpy_oracle_random():
+def _mpmath_spectrum(m):
+    """Eigenvalues at 30 significant digits, sorted non-increasing."""
+    with mpmath.workdps(30):
+        vals = mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)
+        return sorted((float(v) for v in vals), reverse=True)
+
+
+def test_against_mpmath_oracle_random():
     rng = np.random.default_rng(2024)
-    for _ in range(60):
+    for _ in range(20):
         n = int(rng.integers(1, 33))
         m = rng.normal(size=(n, n))
         m = m + m.T
         ours = eig_sym_small(m)
-        oracle = np.sort(np.linalg.eigvalsh(m))[::-1]
+        oracle = np.array(_mpmath_spectrum(m))
         assert np.max(np.abs(ours - oracle)) <= 1e-10 * max(1.0, np.abs(oracle).max())
 
 
@@ -50,6 +58,14 @@ def test_output_sorted_and_trace_preserved():
 def test_rejects_non_symmetric():
     with pytest.raises(ParameterError):
         eig_sym_small([[1.0, 2.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite(bad):
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(ParameterError):
+        eig_sym_small(m)
 
 
 def test_rejects_large_dimension():

@@ -137,6 +137,34 @@ def test_block_path_far_beyond_direct_guard():
     assert value == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "q, s, r",
+    [
+        (3, 340, 1),   # n_{s+1} - n_s = 7 * 2^1020
+        (1, 1022, 1),  # r = q: index p = n_{s+1} = 2^1023 is converted too
+        (2, 511, 1),   # n_{s+1} - n_s = 3 * 2^1022, while n_{s+1} = 2^1024
+        (32, 31, 1),   # n_{s+1} - n_s = 2^1024 - 2^992 is still a float
+    ],
+)
+def test_block_path_last_float_blocks(q, s, r):
+    assert math.isfinite(ex.cesaro_block(ex.AqParams(q), s, r))
+
+
+@pytest.mark.parametrize(
+    "q, s, r",
+    [
+        (3, 341, 1),   # n_{s+1} - n_s = 7 * 2^1023
+        (1, 1023, 1),  # index p = n_{s+1} = 2^1024
+        (2, 511, 2),   # index p = n_{s+1} = 2^1024
+        (64, 15, 1),   # 2^1024 - 2^960 rounds up to 2^1024
+        (3, 2000, 2),
+    ],
+)
+def test_block_path_beyond_float_range_is_domain_error(q, s, r):
+    with pytest.raises(ParameterError):
+        ex.cesaro_block(ex.AqParams(q), s, r)
+
+
 # ---------------------------------------------------------------------------
 # reproduce and references
 # ---------------------------------------------------------------------------

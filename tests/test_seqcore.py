@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from singtrace import seqcore as sc
+from singtrace.eccentric import extract_pk
 from singtrace.errors import (
     IndexRangeError,
     MonotonicityError,
@@ -300,6 +301,23 @@ def test_cache_thread_safety_bitwise():
     for t in threads:
         t.join()
     assert not errors
+
+
+def test_anchor_calls_keep_ascending_cursor():
+    # beyond DIRECT_CAP the EM path re-anchors at sigma(DIRECT_CAP) on every
+    # call; that exact hit must not evict the cursor of the ascending scan
+    seq = sc.make_family("power:alpha=-0.5")
+    inner = seq._mu
+    calls = 0
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return inner(n)
+
+    seq._mu = counted
+    extract_pk(seq, 6, 2**15 + 8192)
+    assert calls <= 2 * sc.DIRECT_CAP
 
 
 def test_file_roundtrip(tmp_path):

@@ -180,6 +180,20 @@ def test_additivity_defect_below_bound_and_decreasing():
     assert rows[0][1] > rows[1][1] > rows[2][1]
 
 
+def test_additivity_mixed_pair_carries_the_trace_offset():
+    # exactly one part summable: S(A+B) = S(A) + S(B) + tr(B) termwise
+    h = sc.make_family("harmonic")
+    b = sc.make_family("power:alpha=-1.327")
+    ls = sc.make_family("logstep")
+    omega = 181
+    defect, bound = tr.additivity_defect(h, b, ls, omega)
+    assert defect <= bound + 1e-10
+    offset = b.summability().trace * math.fsum(
+        1.0 / abs(ls.S(1 << k)) for k in range(1, omega + 1)
+    ) / omega
+    assert defect == pytest.approx(offset, rel=1e-12)
+
+
 def test_additivity_interleaved_summable_parts():
     a = sc.make_family("geometric:r=0.5")
     b = sc.make_family("geometric:r=0.25")
