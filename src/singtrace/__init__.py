@@ -33,7 +33,6 @@ from .errors import (
     UndeterminedSummabilityError,
 )
 from .example4 import (
-    AqParams,
     Example4Report,
     aq_sigma_pow2,
     aq_sigma_pow2_exact,
@@ -45,6 +44,7 @@ from .example4 import (
     reproduce_from_p,
 )
 from .seqcore import (
+    AqParams,
     SpectralSequence,
     SummabilityInfo,
     from_values,

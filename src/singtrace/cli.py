@@ -14,9 +14,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import example4 as ex4
 from . import traces
@@ -26,7 +24,7 @@ from .seqcore import make_family
 from .states import WindowState, ergodicity_probe, structured_set
 from .summation import running_means
 
-_THREADS_ENV = "SINGTRACE_THREADS"
+_EXAMPLE4_HEADER = ["q", "s", "r", "p", "estimate", "reference", "error"]
 
 
 def _round12(x):
@@ -45,19 +43,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{_THREADS_ENV} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{_THREADS_ENV} must be a positive integer, got {value}")
-    return value
 
 
 class UsageError(Exception):
@@ -259,23 +244,22 @@ def _cmd_dilate(args) -> None:
 def _cmd_state(args) -> None:
     chi = structured_set(args.set)
     if args.window or args.window_square:
-        windows = [_parse_window(args)]
+        records = ergodicity_probe(chi, [_parse_window(args)])
         sweep_note = None
     else:
         # default sweep: double the window until the mean moves < 1e-3
-        windows = []
+        records = []
         n = 1 << 10
         prev = None
         while n <= 1 << 24:
-            w = WindowState("translation", k=args.k0, n=n)
-            mean = sum(chi(i) for i in w.indices()) / n
-            windows.append(w)
+            (rec,) = ergodicity_probe(chi, [WindowState("translation", k=args.k0, n=n)])
+            records.append(rec)
+            mean = rec.estimate.mean
             if prev is not None and abs(mean - prev) < 1e-3:
                 break
             prev = mean
             n <<= 1
         sweep_note = "window doubled until the mean moved less than 1e-3"
-    records = ergodicity_probe(chi, windows)
     doc = {
         "command": "state",
         "params": {"set": args.set},
@@ -316,34 +300,33 @@ def _cmd_state(args) -> None:
     _emit(doc, (header, rows), args)
 
 
-def _example4_row(q: int, s: int, r: int, method: str):
-    rep = ex4.reproduce(ex4.AqParams(q), s, r, method)
-    return (q, s, r, rep.p, rep.estimate, rep.reference, rep.error)
+def _emit_rows(command, params, header, rows, diagnostics, args) -> None:
+    doc = {
+        "command": command,
+        "params": params,
+        "results": {"rows": [dict(zip(header, row)) for row in rows]},
+        "diagnostics": diagnostics,
+    }
+    _emit(doc, (header, rows), args)
+
+
+def _example4_rows(q: int, r: int, s_values, method: str) -> list:
+    """One row per s, run only after every job has passed reproduce's checks."""
+    params = ex4.AqParams(q)
+    for s in s_values:
+        ex4.check_request(params, s, r, method)
+    reports = [ex4.reproduce(params, s, r, method) for s in s_values]
+    return [tuple(getattr(rep, key) for key in _EXAMPLE4_HEADER) for rep in reports]
 
 
 def _cmd_example4(args) -> None:
-    params = ex4.AqParams(args.q)
     if args.sweep:
         s_values = sorted(_int_list(args.sweep))
-        jobs = [(args.q, s, args.r, args.method) for s in s_values]
-        rows = _run_jobs(_example4_row, jobs)
-        doc = {
-            "command": "example4",
-            "params": {"q": args.q, "r": args.r, "sweep": s_values, "method": args.method},
-            "results": {
-                "rows": [
-                    {
-                        "q": q, "s": s, "r": r, "p": p,
-                        "estimate": est, "reference": ref, "error": err,
-                    }
-                    for (q, s, r, p, est, ref, err) in rows
-                ]
-            },
-            "diagnostics": {"method": args.method},
-        }
-        _emit(doc, (["q", "s", "r", "p", "estimate", "reference", "error"], rows), args)
+        rows = _example4_rows(args.q, args.r, s_values, args.method)
+        params = {"q": args.q, "r": args.r, "sweep": s_values, "method": args.method}
+        _emit_rows("example4", params, _EXAMPLE4_HEADER, rows, {"method": args.method}, args)
         return
-    rep = ex4.reproduce(params, args.s, args.r, args.method)
+    rep = ex4.reproduce(ex4.AqParams(args.q), args.s, args.r, args.method)
     doc = {
         "command": "example4",
         "params": {"q": args.q, "s": args.s, "r": args.r, "method": args.method},
@@ -355,56 +338,36 @@ def _cmd_example4(args) -> None:
         },
         "diagnostics": {"p": rep.p, "method": rep.method},
     }
-    rows = [(rep.q, rep.s, rep.r, rep.p, rep.estimate, rep.reference, rep.error)]
-    _emit(doc, (["q", "s", "r", "p", "estimate", "reference", "error"], rows), args)
+    rows = [tuple(getattr(rep, key) for key in _EXAMPLE4_HEADER)]
+    _emit(doc, (_EXAMPLE4_HEADER, rows), args)
 
 
 def _cmd_sweep(args) -> None:
+    # sweeps run serially; "threads" stays in their diagnostics so the
+    # documents keep their bytes
     if args.task == "example4":
         if not args.s_list:
             raise UsageError("sweep --task example4 needs --s-list")
-        jobs = [(args.q, s, args.r, args.method) for s in sorted(_int_list(args.s_list))]
-        rows = _run_jobs(_example4_row, jobs)
-        header = ["q", "s", "r", "p", "estimate", "reference", "error"]
-        doc = {
-            "command": "sweep",
-            "params": {"task": "example4", "q": args.q, "r": args.r,
-                       "s_list": sorted(_int_list(args.s_list)), "method": args.method},
-            "results": {"rows": [dict(zip(header, row)) for row in rows]},
-            "diagnostics": {"threads": _thread_count()},
-        }
-        _emit(doc, (header, rows), args)
+        s_values = sorted(_int_list(args.s_list))
+        rows = _example4_rows(args.q, args.r, s_values, args.method)
+        params = {"task": "example4", "q": args.q, "r": args.r,
+                  "s_list": s_values, "method": args.method}
+        _emit_rows("sweep", params, _EXAMPLE4_HEADER, rows, {"threads": 1}, args)
         return
     if args.task == "dixmier":
         if not (args.a and args.t and args.omega_list):
             raise UsageError("sweep --task dixmier needs --a, --t and --omega-list")
-        a_spec, t_spec = args.a, args.t
-
-        def job(omega):
-            est = traces.dixmier_estimate(make_family(a_spec), make_family(t_spec), omega)
-            return (omega, None if est.infinite else est.value, est.oscillation)
-
-        rows = _run_jobs(job, [(w,) for w in sorted(_int_list(args.omega_list))])
+        omegas = sorted(_int_list(args.omega_list))
+        a_seq, t_seq = make_family(args.a), make_family(args.t)
+        rows = []
+        for omega in omegas:
+            est = traces.dixmier_estimate(a_seq, t_seq, omega)
+            rows.append((omega, None if est.infinite else est.value, est.oscillation))
+        params = {"task": "dixmier", "a": args.a, "t": args.t, "omega_list": omegas}
         header = ["omega", "value", "oscillation"]
-        doc = {
-            "command": "sweep",
-            "params": {"task": "dixmier", "a": a_spec, "t": t_spec,
-                       "omega_list": sorted(_int_list(args.omega_list))},
-            "results": {"rows": [dict(zip(header, row)) for row in rows]},
-            "diagnostics": {"threads": _thread_count()},
-        }
-        _emit(doc, (header, rows), args)
+        _emit_rows("sweep", params, header, rows, {"threads": 1}, args)
         return
     raise UsageError(f"unknown sweep task {args.task!r}")
-
-
-def _run_jobs(fn, jobs):
-    # jobs are generated in sorted parameter order and map preserves it
-    threads = _thread_count()
-    if threads == 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
 
 
 # ---------------------------------------------------------------------------

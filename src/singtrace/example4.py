@@ -25,35 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .seqcore import LOG2, harmonic_number
+from .seqcore import LOG2, AqParams, harmonic_number
 from .summation import NeumaierSum
 
 DIRECT_GUARD = 1 << 26     # iteration guard for the term-by-term path
 _SHIFT_FLOOR = -1100       # 2**e underflows to zero below roughly -1074
 _FLOAT_INT_LIMIT = (1 << 1024) - (1 << 970)  # float(int) overflows from here
-
-
-@dataclass(frozen=True)
-class AqParams:
-    """Block parameter q >= 1; block exponents are n_k = 2^(kq), n_0 = 1."""
-
-    q: int
-
-    def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 1:
-            raise ParameterError(f"q must be an integer >= 1, got {self.q}")
-
-    def exponent(self, k: int) -> int:
-        return 2 ** (k * self.q)
-
-    def block_of(self, m: int) -> int:
-        """k with n_k < m <= n_{k+1}; defined for m >= 2."""
-        if m < 2:
-            raise ParameterError(f"block lookup needs m >= 2, got {m}")
-        k = 0
-        while self.exponent(k + 1) < m:
-            k += 1
-        return k
 
 
 @dataclass
@@ -83,6 +60,10 @@ def aq_sigma_pow2(params: AqParams, m: int) -> float:
         return 0.0
     k = params.block_of(m)
     a, b = params.exponent(k), params.exponent(k + 1)
+    if b - a >= _FLOAT_INT_LIMIT:  # n_k <= n_{k+1} - n_k is converted too
+        raise ParameterError(
+            f"aq:q={params.q}: block {k} has n_{k + 1} - n_{k} beyond the float range"
+        )
     ratio = (
         math.ldexp(1.0, max(m - b, _SHIFT_FLOOR))
         * (1.0 - math.ldexp(1.0, max(a - m, _SHIFT_FLOOR)))
@@ -104,16 +85,21 @@ def aq_sigma_pow2_exact(params: AqParams, m: int) -> Fraction:
 
 def cesaro_direct(params: AqParams, p: int) -> float:
     """(1/(p log 2)) sum_{m=1}^{p} sigma(2^m)/m, term by term."""
+    _check_direct(params, p)
+    acc = NeumaierSum()
+    for m in range(1, p + 1):
+        acc.add(aq_sigma_pow2(params, m) / m)
+    return acc.value / (p * LOG2)
+
+
+def _check_direct(params: AqParams, p: int) -> None:
     if p < 2:
         raise ParameterError(f"p must be >= 2, got {p}")
     if p > DIRECT_GUARD:
         raise ParameterError(
             f"p = {p} exceeds the direct-path guard {DIRECT_GUARD}; use the block path"
         )
-    acc = NeumaierSum()
-    for m in range(1, p + 1):
-        acc.add(aq_sigma_pow2(params, m) / m)
-    return acc.value / (p * LOG2)
+    aq_sigma_pow2(params, p)  # raises if the last block the sum reaches leaves floats
 
 
 def _block_partial(params: AqParams, k: int, top: int) -> float:
@@ -139,18 +125,26 @@ def _block_partial(params: AqParams, k: int, top: int) -> float:
     return h_part + coeff * geo.value
 
 
-def _block_floats_fit(params: AqParams, s: int, r: int) -> bool:
-    """Whether every integer _block_partial converts to float stays finite.
+def _check_block(params: AqParams, s: int, r: int) -> None:
+    """Reject requests whose integers _block_partial converts leave floats.
 
     The largest one is n_{s+1} - n_s, or n_{s+1} itself when r = q: the
     shifted sum of the trailing block then runs up to m = p = n_{s+1}.
     """
-    top_exp = (s + 1) * params.q
-    if top_exp > 1024:  # n_{s+1} - n_s >= n_{s+1} / 2 >= 2^1024
-        return False
-    top = 1 << top_exp
-    largest = top if r == params.q else top - params.exponent(s)
-    return largest < _FLOAT_INT_LIMIT
+    q = params.q
+    if not 1 <= r <= q:
+        raise ParameterError(f"need 1 <= r <= q, got r = {r}, q = {q}")
+    if s < 1:
+        raise ParameterError(f"s must be >= 1, got {s}")
+    top_exp = (s + 1) * q
+    fits = top_exp <= 1024  # else n_{s+1} - n_s >= n_{s+1} / 2 >= 2^1024
+    if fits:
+        top = 1 << top_exp
+        fits = (top if r == q else top - params.exponent(s)) < _FLOAT_INT_LIMIT
+    if not fits:
+        raise ParameterError(
+            f"p = 2^{s * q + r} is beyond the float range of the block path"
+        )
 
 
 def cesaro_block(params: AqParams, s: int, r: int) -> float:
@@ -161,16 +155,8 @@ def cesaro_block(params: AqParams, s: int, r: int) -> float:
     p.  Cost is O(s) harmonic evaluations plus O(s) short shifted sums,
     independent of p.
     """
-    q = params.q
-    if not 1 <= r <= q:
-        raise ParameterError(f"need 1 <= r <= q, got r = {r}, q = {q}")
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s}")
-    exp_p = s * q + r
-    if not _block_floats_fit(params, s, r):
-        raise ParameterError(
-            f"p = 2^{exp_p} is beyond the float range of the block path"
-        )
+    _check_block(params, s, r)
+    exp_p = s * params.q + r
     p = 1 << exp_p
 
     acc = NeumaierSum()
@@ -198,19 +184,33 @@ def reference_curve(params: AqParams, t: float) -> float:
     return t * (q / (2.0**q - 1.0) - math.log2(t))
 
 
-def reproduce(params: AqParams, s: int, r: int, method: str = "direct") -> Example4Report:
-    """Run one Cesaro evaluation and compare with the benchmark value."""
+def check_request(params: AqParams, s: int, r: int, method: str) -> int:
+    """Every check :func:`reproduce` makes before it computes; returns
+    p = 2^(sq + r).  Cheap, so a sweep can validate all its jobs first."""
     q = params.q
     if not 1 <= r <= q:
         raise ParameterError(f"need 1 <= r <= q, got r = {r}, q = {q}")
+    if s < 0:
+        raise ParameterError(f"s must be >= 0, got {s}")
     p = 1 << (s * q + r)
+    if method == "direct":
+        _check_direct(params, p)
+    elif method == "block":
+        _check_block(params, s, r)
+    else:
+        raise ParameterError(f"method must be 'direct' or 'block', got {method!r}")
+    return p
+
+
+def reproduce(params: AqParams, s: int, r: int, method: str = "direct") -> Example4Report:
+    """Run one Cesaro evaluation and compare with the benchmark value."""
+    q = params.q
+    p = check_request(params, s, r, method)
     start = time.perf_counter()
     if method == "direct":
         estimate = cesaro_direct(params, p)
-    elif method == "block":
-        estimate = cesaro_block(params, s, r)
     else:
-        raise ParameterError(f"method must be 'direct' or 'block', got {method!r}")
+        estimate = cesaro_block(params, s, r)
     runtime_ms = (time.perf_counter() - start) * 1e3
     reference = reference_dyadic(params, r)
     return Example4Report(

@@ -534,6 +534,29 @@ class LogStepSequence(SpectralSequence):
         return SummabilityInfo(NON_SUMMABLE)
 
 
+@dataclass(frozen=True)
+class AqParams:
+    """Block parameter q >= 1; block exponents are n_k = 2^(kq), n_0 = 1."""
+
+    q: int
+
+    def __post_init__(self):
+        if not isinstance(self.q, int) or self.q < 1:
+            raise ParameterError(f"aq block parameter must be an integer >= 1, got {self.q}")
+
+    def exponent(self, k: int) -> int:
+        return 2 ** (k * self.q)
+
+    def block_of(self, m: int) -> int:
+        """k with n_k < m <= n_{k+1}; defined for m >= 2."""
+        if m < 2:
+            raise ParameterError(f"block lookup needs m >= 2, got {m}")
+        k = 0
+        while self.exponent(k + 1) < m:
+            k += 1
+        return k
+
+
 class AqSequence(SpectralSequence):
     """Block-constant sequence with dyadic blocks (2**n_k, 2**n_{k+1}].
 
@@ -550,8 +573,7 @@ class AqSequence(SpectralSequence):
 
     def __init__(self, q: int):
         super().__init__()
-        if not isinstance(q, int) or q < 1:
-            raise ParameterError(f"aq block parameter must be an integer >= 1, got {q}")
+        self.params = AqParams(q)
         if q > 10:
             raise ParameterError(
                 f"aq:q={q} has no float-representable eigenvalues (first block underflows)"
@@ -561,26 +583,19 @@ class AqSequence(SpectralSequence):
         safe_k = 0
         while self._lam(safe_k + 1) > 0.0:
             safe_k += 1
-        self._safe_mu = 1 << self._exp(safe_k + 1)
+        self._safe_mu = 1 << self.params.exponent(safe_k + 1)
         self._validate_prefix()
 
-    def _exp(self, k: int) -> int:
-        # block exponent n_k; cheap enough that no cache is needed
-        return 2 ** (k * self.q)
-
     def _lam(self, k: int) -> float:
-        a, b = self._exp(k), self._exp(k + 1)
+        a, b = self.params.exponent(k), self.params.exponent(k + 1)
         if b > 10_000_000:
             raise IndexRangeError(f"aq:q={self.q}: block exponent {b} too large")
         return (b - a) / ((1 << b) - (1 << a))
 
     def _block_of(self, n) -> int:
-        # k with 2**n_k < n <= 2**n_{k+1}; comparisons via bit_length only
-        bits = (n - 1).bit_length()  # smallest e with n <= 2**e
-        k = 0
-        while self._exp(k + 1) < bits:
-            k += 1
-        return k
+        # k with 2**n_k < n <= 2**n_{k+1}, for n >= 3; (n - 1).bit_length()
+        # is the smallest e with n <= 2**e
+        return self.params.block_of((n - 1).bit_length())
 
     @property
     def descriptor(self):
@@ -600,7 +615,7 @@ class AqSequence(SpectralSequence):
         if n <= 2:
             return n * self._lambda0
         k = self._block_of(n)
-        a, b = self._exp(k), self._exp(k + 1)
+        a, b = self.params.exponent(k), self.params.exponent(k + 1)
         if b > 10_000_000:
             raise IndexRangeError(f"aq:q={self.q}: sigma_{n} block exponent too large")
         part = ((n - (1 << a)) * (b - a)) / ((1 << b) - (1 << a))

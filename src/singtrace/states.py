@@ -16,6 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
 from .errors import ParameterError, PartitionError, SequenceSpecError
@@ -197,29 +198,33 @@ def window_mean(a: Callable, w: WindowState) -> StateEstimate:
 
     Indicator accessors (``is_indicator`` attribute) are counted in integer
     arithmetic and divided once, so 0/1 means are exact rationals rounded
-    a single time.
+    a single time.  Only the prefix means of the final quarter, which the
+    oscillation is taken over, are formed.
     """
+    indices = iter(w.indices())
+    head = w.n - max(1, w.n // 4)
+    tail: list[float] = []
     if getattr(a, "is_indicator", False):
-        hits = 0
-        prefix: list[float] = []
-        for j, i in enumerate(w.indices(), start=1):
+        hits = sum(a(i) for i in islice(indices, head))
+        for j, i in enumerate(indices, start=head + 1):
             hits += a(i)
-            prefix.append(hits / j)
+            tail.append(hits / j)
         return StateEstimate(
             mean=hits / w.n,
             count=w.n,
-            oscillation=oscillation_of_tail(prefix, w.n),
+            oscillation=oscillation_of_tail(tail, w.n),
             hits=hits,
         )
     acc = NeumaierSum()
-    prefix = []
-    for j, i in enumerate(w.indices(), start=1):
+    for i in islice(indices, head):
         acc.add(float(a(i)))
-        prefix.append(acc.value / j)
+    for j, i in enumerate(indices, start=head + 1):
+        acc.add(float(a(i)))
+        tail.append(acc.value / j)
     return StateEstimate(
         mean=acc.value / w.n,
         count=w.n,
-        oscillation=oscillation_of_tail(prefix, w.n),
+        oscillation=oscillation_of_tail(tail, w.n),
     )
 
 

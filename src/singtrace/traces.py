@@ -290,13 +290,13 @@ class AveragedSequence(SpectralSequence):
             lo = self._power(level - 1)
             raw = max(self.source.S(hi) - self.source.S(lo), 0.0) / (hi - lo)
             # the true block means are non-increasing; snap off rounding dust
-            ceiling = self.source._mu(1) if level == 1 else self._block_value(level - 1)
+            ceiling = self.source.mu(1) if level == 1 else self._block_value(level - 1)
             self._block_cache[level] = min(raw, ceiling)
         return self._block_cache[level]
 
     def _mu(self, n):
         if n == 1:
-            return self.source._mu(1)
+            return self.source.mu(1)
         return self._block_value(self._level(n))
 
     def _probe(self, limit: int) -> None:
@@ -349,7 +349,7 @@ class DilatedSequence(SpectralSequence):
 
     def _mu(self, m):
         n = (m - 1) // self.k + 1
-        return self.base._mu(n) / self.k
+        return self.base.mu(n) / self.k
 
     def mu(self, m):
         if m < 1:
@@ -392,16 +392,16 @@ def k_dilation_with_checks(
     e2_viol: list[tuple[int, int]] = []
     first_underflow = None
     cap = 256
+    s_mu, tilde_mu = s_seq.mu, tilde.mu
     for n in range(2, horizon + 1):
-        mu_n = s_seq._mu(n)
+        mu_n = s_mu(n)
         if mu_n == 0.0 and first_underflow is None:
             first_underflow = n
-        lead = s_seq._mu(k * (n - 1) + 1)
-        if mu_n < 2.0 * k * lead and len(e1_viol) < cap:
+        start = k * (n - 1)
+        if mu_n < 2.0 * k * s_mu(start + 1) and len(e1_viol) < cap:
             e1_viol.append(n)
         for j in range(1, k + 1):
-            m = k * (n - 1) + j
-            if tilde._mu(m) < 2.0 * s_seq._mu(m) and len(e2_viol) < cap:
+            if tilde_mu(start + j) < 2.0 * s_mu(start + j) and len(e2_viol) < cap:
                 e2_viol.append((n, j))
     report = DilationCheckReport(
         k=k,

@@ -1,9 +1,14 @@
 """CLI dispatch, report schema, determinism and exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from singtrace import example4 as ex4
 from singtrace.cli import main
 
 
@@ -180,19 +185,51 @@ def test_exit_codes(capsys):
     assert code == 1 and "float range" in err
 
 
-def test_env_thread_count_validated(monkeypatch, capsys):
-    monkeypatch.setenv("SINGTRACE_THREADS", "2")
-    code, out, _ = run_cli(
-        "sweep", "--task", "example4", "--q", "1", "--r", "1", "--s-list", "8,9",
+def test_example4_direct_beyond_float_range_exits_1(capsys):
+    code, out, err = run_cli(
+        "example4", "--q", "2000", "--s", "0", "--r", "1", "--method", "direct",
         capsys=capsys,
     )
+    assert code == 1 and out == "" and "float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--task", "example4", "--q", "3", "--r", "1", "--s-list", "6,7,8,9"],
+        ["example4", "--q", "3", "--r", "1", "--sweep", "9,6,7,8"],
+        ["example4", "--q", "3", "--r", "1", "--sweep", "8,341", "--method", "block"],
+    ],
+)
+def test_example4_sweeps_check_every_job_first(argv, monkeypatch, capsys):
+    # the last job is invalid (p = 2^28 over the direct guard, or beyond the
+    # block path's float range), so no job may run
+    calls = []
+
+    def counting(*job):
+        calls.append(job)
+        return 0.0
+
+    monkeypatch.setattr(ex4, "cesaro_direct", counting)
+    monkeypatch.setattr(ex4, "cesaro_block", counting)
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 1 and out == ""
+    assert calls == []
+
+
+_GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+_README_COMMANDS = (_GOLDENS / "commands.txt").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize(
+    "number, line",
+    list(enumerate(_README_COMMANDS, start=1)),
+    ids=[f"{i:02d}" for i in range(1, len(_README_COMMANDS) + 1)],
+)
+def test_readme_command_matches_golden(number, line, capsys):
+    code, out, _ = run_cli(*shlex.split(line), capsys=capsys)
     assert code == 0
-    monkeypatch.setenv("SINGTRACE_THREADS", "zero")
-    code, _, err = run_cli(
-        "sweep", "--task", "example4", "--q", "1", "--r", "1", "--s-list", "8",
-        capsys=capsys,
-    )
-    assert code == 2
+    assert out.encode("utf-8") == (_GOLDENS / f"{number:02d}.out").read_bytes()
 
 
 def test_json_reports_reparse(capsys):

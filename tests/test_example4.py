@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import singtrace
 from singtrace import example4 as ex
+from singtrace import seqcore
 from singtrace.errors import ParameterError
 
 LOG2 = math.log(2.0)
@@ -76,6 +78,44 @@ def test_sigma_pow2_deep_indices_stay_finite():
     params = ex.AqParams(1)
     v = ex.aq_sigma_pow2(params, 10_000)
     assert 8191 <= v <= 16384  # n_k - 1 + partial with n_k = 8192
+
+
+# float(int) overflows from 2^1024 - 2^970 on; aq_sigma_pow2 converts
+# n_{k+1} - n_k = 2^(kq) (2^q - 1) and the smaller n_k
+@pytest.mark.parametrize(
+    "q, m",
+    [
+        (1023, 2),           # n_1 - n_0 = 2^1023 - 1
+        (32, 2**992 + 1),    # block 31: 2^1024 - 2^992
+        (1, 2**1023 + 1),    # block 1023: 2^1023
+        (2, 2**1022 + 1),    # block 511: 3 * 2^1022, while n_512 = 2^1024
+    ],
+)
+def test_sigma_pow2_last_float_blocks(q, m):
+    assert math.isfinite(ex.aq_sigma_pow2(ex.AqParams(q), m))
+
+
+@pytest.mark.parametrize(
+    "q, m",
+    [
+        (1024, 2),           # n_1 - n_0 = 2^1024 - 1
+        (64, 2**960 + 1),    # block 15: 2^1024 - 2^960 rounds up to 2^1024
+        (1, 2**1024 + 1),    # block 1024: 2^1024
+        (2000, 2),
+    ],
+)
+def test_sigma_pow2_beyond_float_range_is_domain_error(q, m):
+    with pytest.raises(ParameterError):
+        ex.aq_sigma_pow2(ex.AqParams(q), m)
+
+
+def test_direct_path_float_boundary_in_q():
+    # s = 0, r = 1: p = 2, and sigma(2^2) sits in block 0, n_1 = 2^q
+    assert math.isfinite(ex.reproduce(ex.AqParams(1023), 0, 1, "direct").estimate)
+    with pytest.raises(ParameterError):
+        ex.reproduce(ex.AqParams(1024), 0, 1, "direct")
+    with pytest.raises(ParameterError):
+        ex.check_request(ex.AqParams(1024), 0, 1, "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +250,37 @@ def test_reproduce_from_raw_p():
 def test_error_non_increasing_in_s():
     errors = [ex.reproduce(ex.AqParams(1), s, 1, "direct").error for s in (8, 11, 14)]
     assert errors[0] >= errors[1] >= errors[2]
+
+
+def test_check_request_matches_reproduce():
+    params = ex.AqParams(3)
+    assert ex.check_request(params, 8, 1, "direct") == 1 << 25
+    assert ex.check_request(params, 340, 1, "block") == 1 << 1021
+    for s, r, method in [
+        (9, 1, "direct"),     # p = 2^28 over the direct guard
+        (341, 1, "block"),    # beyond the block path's float range
+        (0, 1, "block"),      # the block path needs s >= 1
+        (-1, 1, "direct"),
+        (5, 4, "direct"),     # r > q
+        (5, 1, "other"),
+    ]:
+        with pytest.raises(ParameterError):
+            ex.check_request(params, s, r, method)
+        with pytest.raises(ParameterError):
+            ex.reproduce(params, s, r, method)
+
+
+def test_aq_params_shared_with_the_sequence():
+    assert singtrace.AqParams is ex.AqParams is seqcore.AqParams
+    for q in (1, 2, 3):
+        seq = seqcore.AqSequence(q)
+        assert seq.params == ex.AqParams(q)
+        exps = [2 ** (k * q) for k in range(5)]
+        edges = [2 ** e + d for e in exps[1:3] for d in (-1, 0, 1)]
+        for n in list(range(3, 300)) + edges:
+            k = next(k for k in range(4) if 2 ** exps[k] < n <= 2 ** exps[k + 1])
+            a, b = exps[k], exps[k + 1]
+            assert seq.mu(n) == (b - a) / (2**b - 2**a), (q, n)
 
 
 def test_parameter_validation():

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from singtrace import states as st
 from singtrace.errors import ParameterError, PartitionError, SequenceSpecError
+from singtrace.summation import oscillation_of_tail, running_means
 
 
 def hash_accessor(seed):
@@ -141,6 +145,51 @@ def test_dyadic_window_addresses_orbit():
     st.window_mean(spy, st.WindowState("dyadic", k=2, n=3, m=3))
     # indices (2m-1) 2^(i-1) for i = 3, 4, 5
     assert hits == [5 * 4, 5 * 8, 5 * 16]
+
+
+_SETS = {
+    "squares": st.structured_set("squares"),
+    "dyadicblocks": st.structured_set("dyadicblocks"),
+    "intervals": st.structured_set(
+        st.SetSpec("intervals", ((3, 5), (9, 9), (20, 64), (100, 1000)))
+    ),
+}
+# i with chi(i) != chi(i + 1): the last index of a block or of a gap
+_EDGES = {
+    name: [i for i in range(1, 5000) if chi(i) != chi(i + 1)]
+    for name, chi in _SETS.items()
+}
+
+
+@given(
+    name=hs.sampled_from(sorted(_SETS) + ["float"]),
+    n=hs.one_of(hs.integers(1, 8), hs.integers(9, 400)),
+    data=hs.data(),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_window_mean_matches_brute_force(name, n, data):
+    # oracle: every value of the window in a list, every prefix mean
+    # formed, and the oscillation over the last quarter of them
+    a = hash_accessor(7) if name == "float" else _SETS[name]
+    if data.draw(hs.booleans()):
+        k = data.draw(hs.integers(0, 20))
+        w = st.WindowState("dyadic", k=k, n=min(n, 30), m=data.draw(hs.integers(1, 40)))
+    else:
+        # start or end on a block boundary, or anywhere
+        edge = data.draw(hs.sampled_from(_EDGES["squares" if name == "float" else name]))
+        offset = data.draw(hs.sampled_from([-1, 0, -n, 1 - n]))
+        k = data.draw(hs.one_of(hs.just(max(0, edge + offset)), hs.integers(0, 10**6)))
+        w = st.WindowState("translation", k=k, n=n)
+    values = [a(i) for i in w.indices()]
+    if name == "float":
+        prefix = running_means(values)
+    else:
+        prefix = [c / j for j, c in enumerate(accumulate(values), start=1)]
+    est = st.window_mean(a, w)
+    assert est.count == w.n
+    assert est.hits == (None if name == "float" else sum(values))
+    assert est.mean == prefix[-1]
+    assert est.oscillation == oscillation_of_tail(prefix, w.n)
 
 
 def test_window_validation():
