@@ -45,6 +45,7 @@ from .example4 import (
 )
 from .seqcore import (
     AqParams,
+    S_walk,
     SpectralSequence,
     SummabilityInfo,
     from_values,

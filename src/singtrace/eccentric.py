@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigs import eig_sym_small
 from .errors import DegenerateRatioError, IndexRangeError, ParameterError
-from .seqcore import SpectralSequence
+from .seqcore import S_walk, SpectralSequence
 from .summation import neumaier_sum
 
 _REFINE_STEPS = (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75)
@@ -150,30 +150,35 @@ def extract_pk(seq, k_max: int, horizon: int) -> list:
 
     Returns one :class:`PkWitness` per k that has a witness; absent entries
     are data, not errors.  Each witness also carries the derived bound
-    |1 - S_kp/S_p| <= (k-1)/k**2, re-checked independently.  ``seq`` only
-    needs an ``S(n)`` method, so structural test doubles are accepted.
+    |1 - S_kp/S_p| <= (k-1)/k**2, re-checked independently.  S_p and S_2p
+    come from two ascending :func:`~singtrace.seqcore.S_walk` passes, so a
+    direct-sum family is scanned in one pass over its terms with O(1)
+    memory.  ``seq`` only needs an ``S(n)`` method, so structural test
+    doubles are accepted.
     """
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     if horizon < 8:
         raise ParameterError(f"horizon must be >= 8, got {horizon}")
-    pending = {k: 1.0 / (k * k) for k in range(2, k_max + 1)}
     found: dict[int, tuple[int, float]] = {}
+    k = 2  # the smallest k without a witness yet
+    s_p, s_2p = S_walk(seq, 1), S_walk(seq, 2, 2)
     for p in range(1, horizon + 1):
-        if not pending:
+        if k > k_max:
             break
         try:
-            sp = seq.S(p)
-            if sp == 0.0:
-                continue
-            dev = abs(1.0 - seq.S(2 * p) / sp)
+            sp, s2p = next(s_p), next(s_2p)
         except IndexRangeError:
             break  # indices only grow; the evaluable domain is exhausted
-        for k in [k for k, thr in pending.items() if dev <= thr]:
+        if sp == 0.0:
+            continue
+        dev = abs(1.0 - s2p / sp)
+        # 1/k**2 falls with k, so the k that one p meets are k, k+1, ... in turn
+        while k <= k_max and dev <= 1.0 / (k * k):
             found[k] = (p, dev)
-            del pending[k]
+            k += 1
     out = []
-    for k, (p, dev) in sorted(found.items()):
+    for k, (p, dev) in found.items():
         try:
             out.append(_make_witness(seq, k, p, dev))
         except IndexRangeError:

@@ -69,7 +69,10 @@ def aq_sigma_pow2(params: AqParams, m: int) -> float:
         * (1.0 - math.ldexp(1.0, max(a - m, _SHIFT_FLOOR)))
         / (1.0 - math.ldexp(1.0, max(a - b, _SHIFT_FLOOR)))
     )
-    return a + ratio * (b - a) - 1.0
+    value = a + ratio * (b - a) - 1.0
+    if not math.isfinite(value):
+        raise ParameterError(f"aq:q={params.q}: sigma(2^m) in block {k} exceeds the float range")
+    return value
 
 
 def aq_sigma_pow2_exact(params: AqParams, m: int) -> Fraction:

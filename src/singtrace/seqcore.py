@@ -5,9 +5,10 @@ the non-increasing sequence mu_1 >= mu_2 >= ... > 0 of its singular values.
 Partial sums sigma_n are accumulated with compensated summation up to
 ``DIRECT_CAP`` and switch to closed forms or anchored Euler-Maclaurin
 expansions beyond, so that dyadic windows at indices like 2**10000 stay
-evaluable in 64-bit floats.  The integral sequence S_n equals sigma_n for
-non-summable sequences and sigma_n - trace for summable ones, so S_n <= 0
-and S_n -> 0 monotonically in the summable case.
+evaluable in 64-bit floats.  :func:`S_walk` yields S_n at ascending
+indices in one pass with O(1) memory.  The integral sequence S_n equals
+sigma_n for non-summable sequences and sigma_n - trace for summable ones,
+so S_n <= 0 and S_n -> 0 monotonically in the summable case.
 
 Index arguments are Python ints and may exceed 2**64; each family raises
 :class:`IndexRangeError` where a value would leave its float-safe domain
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     IndexRangeError,
@@ -28,7 +30,6 @@ from .errors import (
     SequenceSpecError,
     UndeterminedSummabilityError,
 )
-from .summation import NeumaierSum
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2 = math.log(2.0)
@@ -78,7 +79,7 @@ class SpectralSequence:
     family = "abstract"
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # _chain re-enters it for checkpoints
         self._checkpoints: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
         self._ckpt_keys: list[int] = [0]
         # several resume states so interleaved ascending cursors stay O(1)
@@ -166,14 +167,15 @@ class SpectralSequence:
 
     # ---- cached direct summation -------------------------------------------
     def _sigma_direct(self, n: int) -> float:
+        s, c = self._direct_state(n)
+        return s + c
+
+    def _direct_state(self, n: int) -> tuple[float, float]:
         # Checkpointed Neumaier chain: resuming from a saved (partial, carry)
         # state is bitwise identical to a fresh pass from index 1.
         with self._lock:
-            start, s, c = 0, 0.0, 0.0
-            key = self._ckpt_keys[bisect_right(self._ckpt_keys, n) - 1]
-            if key >= start:
-                start = key
-                s, c = self._checkpoints[key]
+            start = self._ckpt_keys[bisect_right(self._ckpt_keys, n) - 1]
+            s, c = self._checkpoints[start]
             best_tip = -1
             for idx, (tn, ts, tc) in enumerate(self._tips):
                 if start < tn <= n:
@@ -181,22 +183,43 @@ class SpectralSequence:
                     best_tip = idx
             if start == n:
                 # served as saved: a new tip would only evict a live cursor
-                return s + c
-            acc = NeumaierSum(s, c)
-            for i in range(start + 1, n + 1):
-                acc.add(self._mu(i))
-                if i & (i - 1) == 0 and i not in self._checkpoints:
-                    self._checkpoints[i] = acc.state()
-                    self._ckpt_keys.insert(bisect_right(self._ckpt_keys, i), i)
-            value = acc.value
-            entry = (n, acc.partial, acc.carry)
+                return s, c
+            s, c = next(self._chain(start, s, c, n - start))
+            entry = (n, s, c)
             if best_tip >= 0:
                 self._tips[best_tip] = entry
             else:
                 self._tips.append(entry)
                 if len(self._tips) > 8:
                     self._tips.pop(0)
-            return value
+            return s, c
+
+    def _chain(self, i: int, s: float, c: float, step: int):
+        """Yield the chain state at i + step, i + 2 step, ... from (s, c) at i,
+        with NeumaierSum.add inlined; each power of two passed is saved as a
+        checkpoint under the lock."""
+        mu = self._mu
+        edge = 1 << i.bit_length()  # the next power of two above i
+        while True:
+            stop = i + step
+            while i < stop:
+                hi = stop if stop < edge else edge
+                for j in range(i + 1, hi + 1):
+                    x = mu(j)
+                    t = s + x
+                    if abs(s) >= abs(x):
+                        c += (s - t) + x
+                    else:
+                        c += (x - t) + s
+                    s = t
+                i = hi
+                if i == edge:
+                    with self._lock:
+                        if i not in self._checkpoints:
+                            self._checkpoints[i] = (s, c)
+                            insort(self._ckpt_keys, i)
+                    edge <<= 1
+            yield s, c
 
     # ---- construction-time validation ---------------------------------------
     def _validate_prefix(self, limit: int | None = None) -> None:
@@ -709,13 +732,6 @@ class ExplicitSequence(SpectralSequence):
             )
         return self._values[n - 1]
 
-    def _sigma_large(self, n):
-        if n > len(self._values):
-            raise IndexRangeError(
-                f"explicit sequence has {len(self._values)} values, index {n} requested"
-            )
-        return self._sigma_direct(n)  # only reachable when len > DIRECT_CAP
-
     def sigma(self, n):
         if n < 0:
             raise ParameterError(f"sigma index must be >= 0, got {n}")
@@ -927,3 +943,34 @@ def sigma_and_S(seq: SpectralSequence, n) -> tuple[float, float]:
 
 def trace_value(seq: SpectralSequence) -> SummabilityInfo:
     return seq.summability()
+
+
+def S_walk(seq, first: int, step: int = 1):
+    """Yield S_first, S_{first+step}, ..., each bitwise equal to ``seq.S(n)``.
+
+    Up to DIRECT_CAP on a direct Neumaier chain (``S`` and ``sigma`` of the
+    base class, or explicit data) this is one ascending pass in O(1) memory:
+    the chain resumes once from the nearest cached state, adds ``step``
+    terms per value and saves the power-of-two checkpoints it passes.
+    Elsewhere, and for any object that only has ``S``, it calls ``seq.S(n)``.
+    """
+    if step < 1:
+        raise ParameterError(f"walk step must be >= 1, got {step}")
+    n, cls = first, type(seq)
+    if (
+        getattr(cls, "S", None) is SpectralSequence.S
+        and cls.sigma in (SpectralSequence.sigma, ExplicitSequence.sigma)
+        and seq.summability().classification != UNDETERMINED
+    ):
+        offset = seq.summability().trace or 0.0  # x - 0.0 keeps every bit of x
+        limit = min(DIRECT_CAP, seq.safe_mu_horizon())  # explicit data may end first
+        if 0 <= n <= limit:
+            state = seq._direct_state(n)
+            states = chain([state], seq._chain(n, *state, step))
+            # range first: zip must not advance the chain past the limit
+            for n, (s, c) in zip(range(n, limit + 1, step), states):
+                yield s + c - offset
+            n += step
+    while True:
+        yield seq.S(n)
+        n += step

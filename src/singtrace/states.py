@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Callable
 
 from .errors import ParameterError, PartitionError, SequenceSpecError
-from .summation import NeumaierSum, neumaier_sum, oscillation_of_tail
+from .summation import NeumaierSum
 
 _INT64_LIMIT = 1 << 63
 
@@ -198,34 +198,34 @@ def window_mean(a: Callable, w: WindowState) -> StateEstimate:
 
     Indicator accessors (``is_indicator`` attribute) are counted in integer
     arithmetic and divided once, so 0/1 means are exact rationals rounded
-    a single time.  Only the prefix means of the final quarter, which the
-    oscillation is taken over, are formed.
+    a single time.  The oscillation is max - min of the prefix means of
+    the final quarter, kept as a running max and min.
     """
     indices = iter(w.indices())
     head = w.n - max(1, w.n // 4)
-    tail: list[float] = []
     if getattr(a, "is_indicator", False):
-        hits = sum(a(i) for i in islice(indices, head))
-        for j, i in enumerate(indices, start=head + 1):
+        hits = sum(a(i) for i in islice(indices, head)) + a(next(indices))
+        hi = lo = hits / (head + 1)
+        for j, i in enumerate(indices, start=head + 2):
             hits += a(i)
-            tail.append(hits / j)
-        return StateEstimate(
-            mean=hits / w.n,
-            count=w.n,
-            oscillation=oscillation_of_tail(tail, w.n),
-            hits=hits,
-        )
+            mean = hits / j
+            if mean > hi:
+                hi = mean
+            elif mean < lo:
+                lo = mean
+        return StateEstimate(mean=hits / w.n, count=w.n, oscillation=hi - lo, hits=hits)
     acc = NeumaierSum()
-    for i in islice(indices, head):
+    for i in islice(indices, head + 1):
         acc.add(float(a(i)))
-    for j, i in enumerate(indices, start=head + 1):
+    hi = lo = acc.value / (head + 1)
+    for j, i in enumerate(indices, start=head + 2):
         acc.add(float(a(i)))
-        tail.append(acc.value / j)
-    return StateEstimate(
-        mean=acc.value / w.n,
-        count=w.n,
-        oscillation=oscillation_of_tail(tail, w.n),
-    )
+        mean = acc.value / j
+        if mean > hi:
+            hi = mean
+        elif mean < lo:
+            lo = mean
+    return StateEstimate(mean=acc.value / w.n, count=w.n, oscillation=hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +314,10 @@ def window_equivalence_defect(
     """
     if w1.mode != "translation" or w2.mode != "translation":
         raise ParameterError("window equivalence requires two translation windows")
-    vals1 = [float(a(i)) for i in w1.indices()]
-    vals2 = [float(a(i)) for i in w2.indices()]
-    mean1 = neumaier_sum(vals1) / w1.n
-    mean2 = neumaier_sum(vals2) / w2.n
-    defect = abs(mean1 - mean2)
-    sup = max(
-        max((abs(v) for v in vals1), default=0.0),
-        max((abs(v) for v in vals2), default=0.0),
-    )
+    sum1, sup1 = _sum_and_sup(a, w1.indices())
+    sum2, sup2 = _sum_and_sup(a, w2.indices())
+    defect = abs(sum1 / w1.n - sum2 / w2.n)
+    sup = max(sup1, sup2)
     bound = sup * (2 * abs(w1.k - w2.k) + 2 * abs(w2.n - w1.n)) / min(w1.n, w2.n)
     if defect > bound + 1e-12:
         raise ParameterError(
@@ -360,21 +355,37 @@ def interval_split_check(interval, parts, a: Callable) -> float:
         raise PartitionError(f"parts stop at {cursor - 1}, expected {hi}")
 
     total = hi - lo + 1
-    vals = {i: float(a(i)) for i in range(lo, hi + 1)}
-    mean_all = neumaier_sum(vals[i] for i in range(lo, hi + 1)) / total
-    weighted = NeumaierSum()
-    for p in cleaned:
-        p_lo, p_hi = p
+    acc_all, weighted, sup = NeumaierSum(), NeumaierSum(), 0.0
+    for p_lo, p_hi in cleaned:
         size = p_hi - p_lo + 1
-        mean_p = neumaier_sum(vals[i] for i in range(p_lo, p_hi + 1)) / size
-        weighted.add((size / total) * mean_p)
-    residual = mean_all - weighted.value
-    sup = max((abs(v) for v in vals.values()), default=0.0)
+        part, part_sup = _sum_and_sup(a, range(p_lo, p_hi + 1), acc_all)
+        weighted.add((size / total) * (part / size))
+        sup = max(sup, part_sup)
+    residual = acc_all.value / total - weighted.value
     if abs(residual) > 1e-12 * max(sup, 1e-300):
         raise PartitionError(
             f"split residual {residual:g} exceeds 1e-12 * sup|a| = {1e-12 * sup:g}"
         )
     return residual
+
+
+def _sum_and_sup(a: Callable, indices, total: NeumaierSum | None = None):
+    """Sum of a(i) over ``indices`` and sup |a(i)| in one pass, also added
+    to ``total``: an exact count for indicators, else float by float."""
+    if getattr(a, "is_indicator", False):
+        hits = sum(a(i) for i in indices)
+        if total is not None:
+            total.add(float(hits))
+        return hits, (1.0 if hits else 0.0)
+    acc, sup = NeumaierSum(), 0.0
+    for i in indices:
+        v = float(a(i))
+        acc.add(v)
+        if total is not None:
+            total.add(v)
+        if abs(v) > sup:
+            sup = abs(v)
+    return acc.value, sup
 
 
 def eta_pullback(a: Callable, m: int):

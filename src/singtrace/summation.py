@@ -34,9 +34,6 @@ class NeumaierSum:
     def value(self) -> float:
         return self.partial + self.carry
 
-    def state(self) -> tuple[float, float]:
-        return (self.partial, self.carry)
-
 
 def neumaier_sum(values) -> float:
     acc = NeumaierSum()

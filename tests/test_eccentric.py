@@ -11,7 +11,7 @@ import pytest
 
 from singtrace import eccentric as ec
 from singtrace import seqcore as sc
-from singtrace.errors import ParameterError, UndeterminedSummabilityError
+from singtrace.errors import IndexRangeError, ParameterError, UndeterminedSummabilityError
 
 
 def harmonic_oracle(n):
@@ -118,11 +118,18 @@ def test_harmonic_witnesses_satisfy_derived_bound():
             assert prev > 1.0 / (w.k * w.k)
 
 
-def test_flat_test_double_yields_p_equal_1():
-    class FlatTail:
-        def S(self, n):
-            return 5.0
+class FlatTail:
+    def S(self, n):
+        return 5.0
 
+
+class ZeroHead:
+    # S_p = 0 is skipped, not the end of the scan
+    def S(self, n):
+        return 0.0 if n < 5 else 5.0
+
+
+def test_flat_test_double_yields_p_equal_1():
     witnesses = ec.extract_pk(FlatTail(), 4, 16)
     assert [(w.k, w.p) for w in witnesses] == [(2, 1), (3, 1), (4, 1)]
 
@@ -130,6 +137,56 @@ def test_flat_test_double_yields_p_equal_1():
 def test_geometric_witnesses_absent():
     # |1 - 2^-n| >= 1/2 > 1/4 for every n >= 1
     assert ec.extract_pk(sc.make_family("geometric:r=0.5"), 2, 1 << 16) == []
+
+
+def reference_pk(seq, k_max, horizon):
+    """(k, p_k, deviation) from one S(p) and one S(2p) call per p, in order;
+    witnesses whose S(kp) is not evaluable are dropped, as extract_pk does."""
+    pending = {k: 1.0 / (k * k) for k in range(2, k_max + 1)}
+    found = []
+    for p in range(1, horizon + 1):
+        if not pending:
+            break
+        try:
+            sp = seq.S(p)
+            if sp == 0.0:
+                continue
+            dev = abs(1.0 - seq.S(2 * p) / sp)
+        except IndexRangeError:
+            break
+        for k in [k for k, thr in pending.items() if dev <= thr]:
+            found.append((k, p, dev))
+            del pending[k]
+    out = []
+    for k, p, dev in sorted(found):
+        try:
+            seq.S(k * p)
+        except IndexRangeError:
+            continue
+        out.append((k, p, dev))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, k_max, horizon",
+    [
+        (FlatTail, 4, 16),
+        (ZeroHead, 3, 16),
+        (lambda: sc.make_family("geometric:r=0.5"), 4, 3000),  # S_p is 0 from p = 1075
+        (lambda: sc.make_family("power:alpha=-20"), 6, 500),   # S_p is 0 from p = 6
+        (lambda: sc.make_family("power:alpha=-0.5"), 6, (1 << 15) + 64),  # S_2p crosses DIRECT_CAP
+        (lambda: sc.make_family("powlog:alpha=1"), 3, 4000),
+        # explicit data shorter than 2 * horizon: S_2p leaves it at p = 151
+        (lambda: sc.from_values([1.0 / i for i in range(1, 301)], summable=False), 6, 400),
+    ],
+    ids=["flat", "zero-head", "geometric", "power-20", "power-0.5", "powlog", "explicit"],
+)
+def test_extract_pk_matches_per_call_scan(make, k_max, horizon):
+    witnesses = ec.extract_pk(make(), k_max, horizon)
+    want = reference_pk(make(), k_max, horizon)
+    assert [(w.k, w.p, w.deviation_2.hex()) for w in witnesses] == [
+        (k, p, dev.hex()) for k, p, dev in want
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,9 @@ def test_sigma_pow2_deep_indices_stay_finite():
         (32, 2**992 + 1),    # block 31: 2^1024 - 2^992
         (1, 2**1023 + 1),    # block 1023: 2^1023
         (2, 2**1022 + 1),    # block 511: 3 * 2^1022, while n_512 = 2^1024
+        # sigma(2^m) itself: 3 * 2^1022 - 1 and 5 * 2^1021 - 1 at the last finite m
+        pytest.param(1, 2**1024 - 1, id="1-2^1024-1"),
+        pytest.param(2, 2**1024 - 1, id="2-2^1024-1"),
     ],
 )
 def test_sigma_pow2_last_float_blocks(q, m):
@@ -102,6 +105,9 @@ def test_sigma_pow2_last_float_blocks(q, m):
         (64, 2**960 + 1),    # block 15: 2^1024 - 2^960 rounds up to 2^1024
         (1, 2**1024 + 1),    # block 1024: 2^1024
         (2000, 2),
+        # sigma(2^m) = 2^1024 - 1 rounds to inf
+        pytest.param(1, 2**1024, id="1-2^1024"),
+        pytest.param(2, 2**1024, id="2-2^1024"),
     ],
 )
 def test_sigma_pow2_beyond_float_range_is_domain_error(q, m):

@@ -5,9 +5,12 @@ math.fsum, closed forms, and small rational computations.
 """
 
 import math
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from singtrace import seqcore as sc
 from singtrace.eccentric import extract_pk
@@ -16,8 +19,10 @@ from singtrace.errors import (
     MonotonicityError,
     ParameterError,
     SequenceSpecError,
+    SingtraceError,
     UndeterminedSummabilityError,
 )
+from singtrace.traces import DilatedSequence, averaged_operator
 
 ALL_SPECS = [
     "harmonic",
@@ -303,6 +308,38 @@ def test_cache_thread_safety_bitwise():
     assert not errors
 
 
+def test_walks_in_threads_bitwise():
+    # walks record checkpoints from several threads while sigma calls read
+    # them; every value and the checkpoint index must match a lone run
+    spec, top = "power:alpha=-0.5", 20_000
+    ref = sc.make_family(spec)
+    reference = [ref.S(n) for n in range(1, top + 1)]
+    shared = sc.make_family(spec)
+    errors = []
+
+    def walker(step):
+        walk = sc.S_walk(shared, step, step)
+        for n in range(step, top + 1, step):
+            if next(walk) != reference[n - 1]:
+                errors.append((step, n))
+        if shared.sigma(top - 7) != reference[top - 8]:
+            errors.append(("sigma", top - 7))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=walker, args=(1 + j % 2,)) for j in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert shared._ckpt_keys == sorted(shared._checkpoints)
+
+
 def test_anchor_calls_keep_ascending_cursor():
     # beyond DIRECT_CAP the EM path re-anchors at sigma(DIRECT_CAP) on every
     # call; that exact hit must not evict the cursor of the ascending scan
@@ -318,6 +355,83 @@ def test_anchor_calls_keep_ascending_cursor():
     seq._mu = counted
     extract_pk(seq, 6, 2**15 + 8192)
     assert calls <= 2 * sc.DIRECT_CAP
+    # the S_2p walk saved every power of two it passed, the anchor included
+    assert sorted(seq._checkpoints) == [0] + [1 << j for j in range(17)]
+    calls = 0
+    seq.sigma(sc.DIRECT_CAP)
+    assert calls == 0
+
+
+# ---------------------------------------------------------------------------
+# S_walk: one ascending pass, bitwise equal to S(n) at every index
+# ---------------------------------------------------------------------------
+
+_EXPLICIT_LEN = 280
+_WALK_FAMILIES = {
+    **{spec: (lambda spec=spec: sc.make_family(spec)) for spec in ALL_SPECS},
+    "averaged": lambda: averaged_operator(sc.make_family("power:alpha=-0.5"), 4, 1 << 10),
+    "dilated": lambda: DilatedSequence(sc.make_family("harmonic"), 3),
+    # summable data that runs out at _EXPLICIT_LEN
+    "explicit": lambda: sc.from_values(
+        [1.0 / i**1.5 for i in range(1, _EXPLICIT_LEN + 1)], trace=2.6
+    ),
+    # non-summable data past DIRECT_CAP, where sigma stays a direct sum
+    "explicit-long": lambda: sc.from_values(
+        [1.0 / i for i in range(1, sc.DIRECT_CAP + 41)], summable=False
+    ),
+}
+_WALK_REFS: dict = {}
+_WALK_STARTS = hs.one_of(
+    hs.sampled_from([(1 << j) + d for j in range(17) for d in (-1, 0, 1)]),
+    hs.integers(sc.DIRECT_CAP - 60, sc.DIRECT_CAP),
+    hs.integers(_EXPLICIT_LEN - 60, _EXPLICIT_LEN + 1),
+)
+
+
+def _S_bits(seq, n):
+    try:
+        return seq.S(n).hex()
+    except SingtraceError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_FAMILIES))
+@given(first=_WALK_STARTS, step=hs.sampled_from([1, 2]), warm=hs.booleans())
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_S_walk_matches_S_bitwise(name, first, step, warm):
+    # the oracle is S(n) per index on a separate instance; errors must match
+    # in type, message and index
+    if name not in _WALK_REFS:
+        _WALK_REFS[name] = _WALK_FAMILIES[name]()
+    ref = _WALK_REFS[name]
+    seq = _WALK_FAMILIES[name]()
+    if warm:
+        # saved states below, at and above the start
+        for n in (3, max(0, first - 1), first + 5, 1 << 15):
+            _S_bits(seq, n)
+    walk = sc.S_walk(seq, first, step)
+    for n in range(first, first + 40 * step, step):
+        want = _S_bits(ref, n)
+        try:
+            got = next(walk).hex()
+        except SingtraceError as exc:
+            got = type(exc), str(exc)
+        assert got == want, (name, n)
+        if isinstance(want, tuple):
+            break
+
+
+def test_S_walk_saves_every_power_of_two_it_passes():
+    seq = sc.make_family("harmonic")
+    walk = sc.S_walk(seq, 5, 3)
+    for _ in range(400):  # S_5 .. S_1202
+        next(walk)
+    assert sorted(seq._checkpoints) == [0] + [1 << j for j in range(11)]
+
+
+def test_S_walk_rejects_bad_step():
+    with pytest.raises(ParameterError):
+        next(sc.S_walk(sc.make_family("harmonic"), 1, 0))
 
 
 def test_file_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as hs
 
 from singtrace import states as st
 from singtrace.errors import ParameterError, PartitionError, SequenceSpecError
-from singtrace.summation import oscillation_of_tail, running_means
+from singtrace.summation import NeumaierSum, neumaier_sum, oscillation_of_tail, running_means
 
 
 def hash_accessor(seed):
@@ -161,6 +161,16 @@ _EDGES = {
 }
 
 
+def _brute_window(name, n, data):
+    """An accessor and a translation window of length n that starts or ends
+    on a block boundary, or anywhere."""
+    a = hash_accessor(7) if name == "float" else _SETS[name]
+    edge = data.draw(hs.sampled_from(_EDGES["squares" if name == "float" else name]))
+    offset = data.draw(hs.sampled_from([-1, 0, -n, 1 - n]))
+    k = data.draw(hs.one_of(hs.just(max(0, edge + offset)), hs.integers(0, 10**6)))
+    return a, k
+
+
 @given(
     name=hs.sampled_from(sorted(_SETS) + ["float"]),
     n=hs.one_of(hs.integers(1, 8), hs.integers(9, 400)),
@@ -170,15 +180,12 @@ _EDGES = {
 def test_window_mean_matches_brute_force(name, n, data):
     # oracle: every value of the window in a list, every prefix mean
     # formed, and the oscillation over the last quarter of them
-    a = hash_accessor(7) if name == "float" else _SETS[name]
     if data.draw(hs.booleans()):
+        a = hash_accessor(7) if name == "float" else _SETS[name]
         k = data.draw(hs.integers(0, 20))
         w = st.WindowState("dyadic", k=k, n=min(n, 30), m=data.draw(hs.integers(1, 40)))
     else:
-        # start or end on a block boundary, or anywhere
-        edge = data.draw(hs.sampled_from(_EDGES["squares" if name == "float" else name]))
-        offset = data.draw(hs.sampled_from([-1, 0, -n, 1 - n]))
-        k = data.draw(hs.one_of(hs.just(max(0, edge + offset)), hs.integers(0, 10**6)))
+        a, k = _brute_window(name, n, data)
         w = st.WindowState("translation", k=k, n=n)
     values = [a(i) for i in w.indices()]
     if name == "float":
@@ -190,6 +197,53 @@ def test_window_mean_matches_brute_force(name, n, data):
     assert est.hits == (None if name == "float" else sum(values))
     assert est.mean == prefix[-1]
     assert est.oscillation == oscillation_of_tail(prefix, w.n)
+
+
+@given(
+    name=hs.sampled_from(sorted(_SETS) + ["float"]),
+    n=hs.one_of(hs.integers(1, 8), hs.integers(9, 400)),
+    data=hs.data(),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_equivalence_and_split_match_brute_force(name, n, data):
+    # oracle: every value of the windows in a list, Neumaier-summed in
+    # index order, and sup|a| over the list
+    a, k = _brute_window(name, n, data)
+    l = max(0, k + data.draw(hs.integers(-3, 3)))
+    p = max(1, n + data.draw(hs.integers(-3, 3)))
+    vals1 = [float(a(i)) for i in range(k + 1, k + n + 1)]
+    vals2 = [float(a(i)) for i in range(l + 1, l + p + 1)]
+    defect = abs(neumaier_sum(vals1) / n - neumaier_sum(vals2) / p)
+    sup = max(max(abs(v) for v in vals1), max(abs(v) for v in vals2))
+    bound = sup * (2 * abs(k - l) + 2 * abs(p - n)) / min(n, p)
+    w1, w2 = st.WindowState("translation", k=k, n=n), st.WindowState("translation", k=l, n=p)
+    if defect > bound + 1e-12:
+        with pytest.raises(ParameterError):
+            st.window_equivalence_defect(w1, w2, a)
+    else:
+        got = st.window_equivalence_defect(w1, w2, a)
+        assert (got[0].hex(), got[1].hex()) == (defect.hex(), bound.hex())
+
+    # split of [k+1, k+n] at two cuts; an empty part is None
+    lo, hi = k + 1, k + n
+    cut1 = data.draw(hs.integers(lo, hi + 1))
+    cut2 = data.draw(hs.integers(cut1 - 1, hi))
+    parts = (
+        (lo, cut1 - 1) if cut1 > lo else None,
+        (cut1, cut2) if cut2 >= cut1 else None,
+        (cut2 + 1, hi) if cut2 < hi else None,
+    )
+    weighted = NeumaierSum()
+    for part in parts:
+        if part is not None:
+            size = part[1] - part[0] + 1
+            weighted.add((size / n) * (neumaier_sum(vals1[part[0] - lo : part[1] - lo + 1]) / size))
+    residual = neumaier_sum(vals1) / n - weighted.value
+    if abs(residual) > 1e-12 * max(max(abs(v) for v in vals1), 1e-300):
+        with pytest.raises(PartitionError):
+            st.interval_split_check((lo, hi), parts, a)
+    else:
+        assert st.interval_split_check((lo, hi), parts, a).hex() == residual.hex()
 
 
 def test_window_validation():
