@@ -574,10 +574,9 @@ class AqParams:
         """k with n_k < m <= n_{k+1}; defined for m >= 2."""
         if m < 2:
             raise ParameterError(f"block lookup needs m >= 2, got {m}")
-        k = 0
-        while self.exponent(k + 1) < m:
-            k += 1
-        return k
+        # e = (m - 1).bit_length() is the smallest e with m <= 2^e, so
+        # n_k < m <= n_{k+1} iff kq < e <= (k + 1)q, i.e. k + 1 = ceil(e / q)
+        return ((m - 1).bit_length() + self.q - 1) // self.q - 1
 
 
 class AqSequence(SpectralSequence):

@@ -8,11 +8,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 import singtrace
 from singtrace import example4 as ex
 from singtrace import seqcore
 from singtrace.errors import ParameterError
+from singtrace.summation import NeumaierSum
 
 LOG2 = math.log(2.0)
 
@@ -151,6 +154,75 @@ def test_cesaro_direct_guard():
         ex.cesaro_direct(ex.AqParams(1), 1)
 
 
+def test_direct_guard_is_checked_before_the_sum(monkeypatch):
+    def never(*_):
+        raise AssertionError("check_request ran the sum")
+
+    monkeypatch.setattr(ex, "cesaro_direct", never)
+    top = ex.DIRECT_GUARD.bit_length() - 1
+    for q in (1, 2, 3):
+        s, r = divmod(top - 1, q)
+        assert ex.check_request(ex.AqParams(q), s, r + 1, "direct") == ex.DIRECT_GUARD
+        s, r = divmod(top, q)
+        with pytest.raises(ParameterError, match="direct-path guard"):
+            ex.check_request(ex.AqParams(q), s, r + 1, "direct")
+
+
+def _cesaro_direct_per_term(params, p):
+    acc = NeumaierSum()
+    for m in range(1, p + 1):
+        acc.add(ex.aq_sigma_pow2(params, m) / m)
+    return acc.value / (p * LOG2)
+
+
+@hs.composite
+def _direct_cutoffs(draw):
+    # block ends n_{k+1} up to 2^15; the kernel's ldexp cut is at n_{k+1} - 1075
+    q = draw(hs.integers(1, 10))
+    params = ex.AqParams(q)
+    ends = [params.exponent(k) for k in range(1, 16) if params.exponent(k) <= 1 << 15]
+    p = draw(
+        hs.one_of(
+            hs.integers(2, 1 << 14),
+            hs.builds(lambda n, d: n + d, hs.sampled_from(ends), hs.integers(-1, 1)),
+            hs.builds(
+                lambda n, d: n - d,
+                hs.sampled_from(ends),
+                hs.one_of(hs.integers(1070, 1080), hs.integers(0, 1100)),
+            ),
+        )
+    )
+    return q, max(p, 2)
+
+
+@given(case=_direct_cutoffs())
+@example(case=(1, 2))
+@example(case=(1, 3))
+@example(case=(1, 4096 - 1075))
+@example(case=(2, (1 << 14) - 1074))
+@example(case=(3, (1 << 15) - 1076))
+@example(case=(1023, 2))  # s = 0, r = 1: block 0 ends at n_1 = 2^1023
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_cesaro_direct_matches_per_term_sum_bitwise(case):
+    q, p = case
+    params = ex.AqParams(q)
+    assert ex.cesaro_direct(params, p).hex() == _cesaro_direct_per_term(params, p).hex(), case
+
+
+def test_cesaro_direct_block_lookups_per_block(monkeypatch):
+    # one exponent lookup per dyadic block, not a block search per term
+    calls = []
+    exponent = ex.AqParams.exponent
+
+    def counting(self, k):
+        calls.append(k)
+        return exponent(self, k)
+
+    monkeypatch.setattr(ex.AqParams, "exponent", counting)
+    ex.cesaro_direct(ex.AqParams(1), 1 << 14)  # 14 blocks
+    assert len(calls) <= 2 * 15, len(calls)
+
+
 # ---------------------------------------------------------------------------
 # cesaro_block vs cesaro_direct
 # ---------------------------------------------------------------------------
@@ -175,6 +247,66 @@ def test_block_path_specific_cross_checks():
     assert ex.cesaro_block(ex.AqParams(2), 5, 2) == pytest.approx(
         ex.cesaro_direct(ex.AqParams(2), 1 << 12), rel=1e-9
     )
+
+
+def _block_partial_per_term(params, k, top):
+    a, b = params.exponent(k), params.exponent(k + 1)
+    shift_ab = math.ldexp(1.0, max(a - b, ex._SHIFT_FLOOR))
+    bracket = (a - 1.0) - (b - a) * shift_ab / (1.0 - shift_ab)
+    h_part = bracket * (seqcore.harmonic_number(top) - seqcore.harmonic_number(a))
+    lo = max(a + 1, top + ex._SHIFT_FLOOR)
+    geo = NeumaierSum()
+    for m in range(lo, top + 1):
+        e = m - b
+        if e < ex._SHIFT_FLOOR:
+            continue
+        geo.add(math.ldexp(1.0, e) / m)
+    coeff = (b - a) / (1.0 - shift_ab)
+    return h_part + coeff * geo.value
+
+
+def test_cesaro_block_shifted_sum_stays_short(monkeypatch):
+    # at most 1 - _SHIFT_FLOOR geometric terms per block, whatever its width
+    budget = 41 * 1110
+    calls = []
+    ldexp = math.ldexp
+
+    def counting(x, e):
+        calls.append(e)
+        if len(calls) > budget:
+            raise AssertionError("cesaro_block computed too many powers of two")
+        return ldexp(x, e)
+
+    monkeypatch.setattr(math, "ldexp", counting)
+    ex.cesaro_block(ex.AqParams(1), 40, 1)  # block 39 is 2^39 wide
+    assert calls
+
+
+@hs.composite
+def _block_requests(draw):
+    q = draw(hs.integers(1, 5))
+    s_max = 1024 // q - 1  # (s + 1) q <= 1024; _check_block refines r = q
+    s = draw(hs.one_of(hs.integers(1, 40), hs.integers(1, s_max)))
+    r = draw(hs.integers(1, q))
+    return q, s, r
+
+
+@given(request=_block_requests())
+@example(request=(1, 1022, 1))
+@example(request=(2, 511, 1))
+@example(request=(3, 340, 1))
+@example(request=(5, 3, 5))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_cesaro_block_matches_per_term_partials_bitwise(request):
+    q, s, r = request
+    params = ex.AqParams(q)
+    try:
+        expected = ex.cesaro_block(params, s, r).hex()
+    except ParameterError:  # r = q at the float limit
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "_block_partial", _block_partial_per_term)
+        assert ex.cesaro_block(params, s, r).hex() == expected, request
 
 
 def test_block_path_far_beyond_direct_guard():
@@ -260,10 +392,11 @@ def test_error_non_increasing_in_s():
 
 def test_check_request_matches_reproduce():
     params = ex.AqParams(3)
-    assert ex.check_request(params, 8, 1, "direct") == 1 << 25
+    assert ex.check_request(params, 7, 1, "direct") == 1 << 22
     assert ex.check_request(params, 340, 1, "block") == 1 << 1021
     for s, r, method in [
         (9, 1, "direct"),     # p = 2^28 over the direct guard
+        (8, 1, "direct"),     # p = 2^25 over the direct guard
         (341, 1, "block"),    # beyond the block path's float range
         (0, 1, "block"),      # the block path needs s >= 1
         (-1, 1, "direct"),
@@ -287,6 +420,29 @@ def test_aq_params_shared_with_the_sequence():
             k = next(k for k in range(4) if 2 ** exps[k] < n <= 2 ** exps[k + 1])
             a, b = exps[k], exps[k + 1]
             assert seq.mu(n) == (b - a) / (2**b - 2**a), (q, n)
+
+
+def _block_of_loop(params, m):
+    k = 0
+    while params.exponent(k + 1) < m:
+        k += 1
+    return k
+
+
+def test_block_of_matches_linear_search():
+    for q in range(1, 13):
+        params = ex.AqParams(q)
+        for m in range(2, (1 << 12) + 1):
+            assert params.block_of(m) == _block_of_loop(params, m), (q, m)
+        # big-int block edges up to 2^4096, against the definition
+        for k in range(1, 4096 // q + 1):
+            n = params.exponent(k)
+            for m in (n - 1, n, n + 1):
+                if m >= 2:
+                    j = params.block_of(m)
+                    assert params.exponent(j) < m <= params.exponent(j + 1), (q, m)
+    with pytest.raises(ParameterError):
+        ex.AqParams(1).block_of(1)
 
 
 def test_parameter_validation():
