@@ -196,19 +196,10 @@ def _cmd_trace(args) -> None:
     if args.kind == "dixmier":
         est = traces.dixmier_estimate(a_seq, t_seq, args.omega)
         params = {"a": args.a, "t": args.t, "omega": args.omega}
-        if est.infinite:
-            rows = []
-        else:
-            ratios = traces.dixmier_ratios(a_seq, t_seq, args.omega)
-            rows = list(enumerate(running_means(ratios), start=1))
     else:
         est = traces.varga_estimate(a_seq, t_seq, args.kmax, args.horizon)
         params = {"a": args.a, "t": args.t, "kmax": args.kmax, "horizon": args.horizon}
-        if est.infinite:
-            rows = []
-        else:
-            samples = [a_seq.S(n_k) / t_seq.S(n_k) for n_k in est.cutoff]
-            rows = list(enumerate(running_means(samples), start=1))
+    rows = list(enumerate(running_means(est.samples), start=1))
     doc = _estimate_doc(f"trace {args.kind}", params, est)
     _emit(doc, (["omega", "mean"], rows), args)
 

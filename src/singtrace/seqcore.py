@@ -2,13 +2,20 @@
 
 A :class:`SpectralSequence` stands for a positive compact operator through
 the non-increasing sequence mu_1 >= mu_2 >= ... > 0 of its singular values.
-Partial sums sigma_n are accumulated with compensated summation up to
-``DIRECT_CAP`` and switch to closed forms or anchored Euler-Maclaurin
-expansions beyond, so that dyadic windows at indices like 2**10000 stay
-evaluable in 64-bit floats.  :func:`S_walk` yields S_n at ascending
-indices in one pass with O(1) memory.  The integral sequence S_n equals
-sigma_n for non-summable sequences and sigma_n - trace for summable ones,
-so S_n <= 0 and S_n -> 0 monotonically in the summable case.
+The integral sequence S_n equals sigma_n for non-summable sequences and
+sigma_n - trace for summable ones, so S_n <= 0 and S_n -> 0 monotonically
+in the summable case.
+
+``SpectralSequence.sigma`` and ``SpectralSequence.S`` are the only
+dispatch.  Up to a family's ``_direct_limit`` sigma_n is a compensated
+(Neumaier) sum in ascending order: ``DIRECT_CAP`` by default, none for the
+closed-form and delegating families (geometric, logstep, aq, scaled,
+sums), and every value for explicit data.  Beyond it the family's hooks
+take over: ``_sigma_large`` (closed forms, or Euler-Maclaurin anchored at
+``DIRECT_CAP``) and, for summable families, the tail form ``_S_tail``, so
+that dyadic windows at indices like 2**10000 stay evaluable in 64-bit
+floats.  :func:`S_walk` yields S_n at ascending indices in one pass with
+O(1) memory.
 
 Index arguments are Python ints and may exceed 2**64; each family raises
 :class:`IndexRangeError` where a value would leave its float-safe domain
@@ -61,11 +68,6 @@ class SummabilityInfo:
         return self.classification == SUMMABLE
 
 
-def _log_big(n) -> float:
-    # math.log accepts ints of any magnitude
-    return math.log(n)
-
-
 def _pow_big(n, e: float) -> float:
     """n**e for a positive integer n of any size and float e <= small."""
     if n <= _BIG_FLOAT_INT:
@@ -87,23 +89,25 @@ class SpectralSequence:
         self._info: SummabilityInfo | None = None
 
     # ---- hooks implemented by the families --------------------------------
+    _direct_limit = DIRECT_CAP  # last index of the direct Neumaier sum
+
     def _mu(self, n) -> float:
         raise NotImplementedError
 
     def _sigma_large(self, n) -> float:
-        """sigma_n for n > DIRECT_CAP; families without a closed/EM form raise."""
+        """sigma_n for n > _direct_limit; families without a closed/EM form raise."""
         raise IndexRangeError(
-            f"{self.descriptor}: sigma beyond index {DIRECT_CAP} is not supported"
+            f"{self.descriptor}: sigma beyond index {self._direct_limit} is not supported"
+        )
+
+    def _S_tail(self, n) -> float:
+        """S_n for summable families at n > _direct_limit (tail form)."""
+        raise IndexRangeError(
+            f"{self.descriptor}: S beyond index {self._direct_limit} is not supported"
         )
 
     def _summability_info(self) -> SummabilityInfo:
         raise NotImplementedError
-
-    def _S_summable_large(self, n) -> float:
-        """S_n for summable families at n > DIRECT_CAP (tail form)."""
-        raise IndexRangeError(
-            f"{self.descriptor}: S beyond index {DIRECT_CAP} is not supported"
-        )
 
     @property
     def descriptor(self) -> str:
@@ -133,7 +137,7 @@ class SpectralSequence:
             raise ParameterError(f"sigma index must be >= 0, got {n}")
         if n == 0:
             return 0.0
-        if n <= DIRECT_CAP:
+        if n <= self._direct_limit:
             return self._sigma_direct(n)
         return self._sigma_large(n)
 
@@ -147,20 +151,14 @@ class SpectralSequence:
             return self.sigma(n)
         if n == 0:
             return -info.trace
-        if n <= DIRECT_CAP:
+        if n <= self._direct_limit:
             return self.sigma(n) - info.trace
-        return self._S_summable_large(n)
-
-    def sigma_and_S(self, n) -> tuple[float, float]:
-        return self.sigma(n), self.S(n)
+        return self._S_tail(n)
 
     def summability(self) -> SummabilityInfo:
         if self._info is None:
             self._info = self._summability_info()
         return self._info
-
-    def values(self, n_first: int, n_last: int) -> list:
-        return [self.mu(i) for i in range(n_first, n_last + 1)]
 
     def __repr__(self):
         return f"<SpectralSequence {self.descriptor}>"
@@ -242,32 +240,6 @@ class SpectralSequence:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin helpers shared by the power / powlog families.
-# Sum_{k=a+1}^{b} f(k) = int_a^b f + (f(b)-f(a))/2 + (f'(b)-f'(a))/12
-#                        - (f'''(b)-f'''(a))/720 + R,  |R| ~ f^(5)
-# Tail_{k>n} f(k)      = int_n^inf f - f(n)/2 - f'(n)/12 + f'''(n)/720
-# ---------------------------------------------------------------------------
-
-
-def _em_segment(fint, f, fp, f3, a, b) -> float:
-    total = fint(a, b)
-    fa = 0.0 if a > _EM_PLAIN_X else f(a)
-    fb = 0.0 if b > _EM_PLAIN_X else f(b)
-    pa = 0.0 if a > _EM_PLAIN_X else fp(a)
-    pb = 0.0 if b > _EM_PLAIN_X else fp(b)
-    ta = 0.0 if a > _EM_PLAIN_X else f3(a)
-    tb = 0.0 if b > _EM_PLAIN_X else f3(b)
-    return total + (fb - fa) / 2.0 + (pb - pa) / 12.0 - (tb - ta) / 720.0
-
-
-def _em_tail(fint_inf, f, fp, f3, n) -> float:
-    total = fint_inf(n)
-    if n > _EM_PLAIN_X:
-        return total
-    return total - f(n) / 2.0 - fp(n) / 12.0 + f3(n) / 720.0
-
-
-# ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
 
@@ -293,7 +265,7 @@ class HarmonicSequence(SpectralSequence):
 
 
 def _harmonic_asymptotic(n) -> float:
-    ln = _log_big(n)
+    ln = math.log(n)
     inv = 1 / n  # int/int division is exact about huge n
     inv2 = inv * inv
     return ln + EULER_GAMMA + inv / 2.0 - inv2 / 12.0 + inv2 * inv2 / 120.0
@@ -309,7 +281,55 @@ def harmonic_number(n) -> float:
     return _HARMONIC_SHARED.sigma(n)
 
 
-class PowerSequence(SpectralSequence):
+# Euler-Maclaurin evaluation shared by the power / powlog families:
+# Sum_{k=a+1}^{b} f(k) = int_a^b f + (f(b)-f(a))/2 + (f'(b)-f'(a))/12
+#                        - (f'''(b)-f'''(a))/720 + R,  |R| ~ f^(5)
+# Tail_{k>n} f(k)      = int_n^inf f - f(n)/2 - f'(n)/12 + f'''(n)/720
+
+
+class _EMSequence(SpectralSequence):
+    """mu_n = f(n + shift) for a family with parameter alpha that is
+    summable exactly when alpha < -1.
+
+    Subclasses supply f, f', f''' (``_f``, ``_fp``, ``_f3``) and the
+    integrals ``_fint(a, b)`` and ``_fint_inf(x)``.  Beyond DIRECT_CAP
+    sigma is the direct sum at DIRECT_CAP plus an EM segment, or the trace
+    minus the EM tail when the sequence is summable.
+    """
+
+    shift = 0
+
+    def _em_terms(self, x):
+        # beyond _EM_PLAIN_X the correction terms are dropped
+        if x > _EM_PLAIN_X:
+            return 0.0, 0.0, 0.0
+        return self._f(x), self._fp(x), self._f3(x)
+
+    def _S_tail(self, n):
+        x = n + self.shift
+        f, fp, f3 = self._em_terms(x)
+        return -(self._fint_inf(x) - f / 2.0 - fp / 12.0 + f3 / 720.0)
+
+    def _sigma_large(self, n):
+        info = self.summability()
+        if info.summable:
+            return info.trace + self._S_tail(n)
+        anchor = self._sigma_direct(DIRECT_CAP)
+        a, b = DIRECT_CAP + self.shift, n + self.shift
+        total = self._fint(a, b)
+        (fa, pa, ta), (fb, pb, tb) = self._em_terms(a), self._em_terms(b)
+        return anchor + (total + (fb - fa) / 2.0 + (pb - pa) / 12.0 - (tb - ta) / 720.0)
+
+    def _summability_info(self):
+        if self.alpha >= -1.0:
+            return SummabilityInfo(NON_SUMMABLE)
+        trace = self._sigma_direct(DIRECT_CAP) - self._S_tail(DIRECT_CAP)
+        # integral-test bracket [int_{N+1}^inf, int_N^inf]: width = int_N^{N+1}
+        a = DIRECT_CAP + self.shift
+        return SummabilityInfo(SUMMABLE, trace, abs(self._fint(a, a + 1)))
+
+
+class PowerSequence(_EMSequence):
     """mu_n = n**alpha with alpha <= 0; summable exactly when alpha < -1."""
 
     family = "power"
@@ -333,12 +353,11 @@ class PowerSequence(SpectralSequence):
         # keep n**alpha above the subnormal floor
         return int(math.exp(min(700.0, -744.0 / self.alpha)))
 
-    def _mu(self, n):
-        return _pow_big(n, self.alpha)
-
     # f(x) = x**alpha
     def _f(self, x):
         return _pow_big(x, self.alpha)
+
+    _mu = _f
 
     def _fp(self, x):
         return self.alpha * _pow_big(x, self.alpha - 1.0)
@@ -350,8 +369,8 @@ class PowerSequence(SpectralSequence):
     def _fint(self, a, b):
         ap1 = self.alpha + 1.0
         if ap1 == 0.0:
-            return _log_big(b) - _log_big(a)
-        if ap1 > 0.0 and ap1 * _log_big(b) > 709.0:
+            return math.log(b) - math.log(a)
+        if ap1 > 0.0 and ap1 * math.log(b) > 709.0:
             raise IndexRangeError(f"{self.descriptor}: sigma_{b} overflows a float")
         return (_pow_big(b, ap1) - _pow_big(a, ap1)) / ap1
 
@@ -359,31 +378,8 @@ class PowerSequence(SpectralSequence):
         ap1 = self.alpha + 1.0
         return -_pow_big(x, ap1) / ap1  # ap1 < 0 here
 
-    def _tail(self, n) -> float:
-        return _em_tail(self._fint_inf, self._f, self._fp, self._f3, n)
 
-    def _sigma_large(self, n):
-        info = self.summability()
-        if info.summable:
-            return info.trace - self._tail(n)
-        anchor = self._sigma_direct(DIRECT_CAP)
-        return anchor + _em_segment(
-            self._fint, self._f, self._fp, self._f3, DIRECT_CAP, n
-        )
-
-    def _S_summable_large(self, n):
-        return -self._tail(n)
-
-    def _summability_info(self):
-        if self.alpha >= -1.0:
-            return SummabilityInfo(NON_SUMMABLE)
-        trace = self._sigma_direct(DIRECT_CAP) + self._tail(DIRECT_CAP)
-        # integral-test bracket [int_{N+1}^inf, int_N^inf]: width = int_N^{N+1}
-        width = self._fint(DIRECT_CAP, DIRECT_CAP + 1)
-        return SummabilityInfo(SUMMABLE, trace, abs(width))
-
-
-class PowLogSequence(SpectralSequence):
+class PowLogSequence(_EMSequence):
     """mu_n = (log(n + n0))**alpha / (n + n0).
 
     n0 is the smallest shift that makes the sequence non-increasing from
@@ -421,19 +417,19 @@ class PowLogSequence(SpectralSequence):
 
     # f(x) = (ln x)**alpha / x and derivatives, big-int safe
     def _f(self, x):
-        lx = _log_big(x)
+        lx = math.log(x)
         if x <= _BIG_FLOAT_INT:
             return lx**self.alpha / x
         e = self.alpha * math.log(lx) - lx
         return math.exp(e) if e > -745.0 else 0.0
 
     def _fp(self, x):
-        lx = _log_big(x)
+        lx = math.log(x)
         return lx ** (self.alpha - 1.0) * (self.alpha - lx) / (float(x) * float(x))
 
     def _f3(self, x):
         a = self.alpha
-        lx = _log_big(x)
+        lx = math.log(x)
         g3 = lx ** (a - 3.0)
         num = (
             a * (a - 1.0) * (a - 2.0) * g3
@@ -446,49 +442,21 @@ class PowLogSequence(SpectralSequence):
 
     def _fint(self, a, b):
         ap1 = self.alpha + 1.0
-        la, lb = _log_big(a), _log_big(b)
+        la, lb = math.log(a), math.log(b)
         if ap1 == 0.0:
             return math.log(lb) - math.log(la)
         return (lb**ap1 - la**ap1) / ap1
 
     def _fint_inf(self, x):
         ap1 = self.alpha + 1.0
-        return -(_log_big(x) ** ap1) / ap1  # ap1 < 0 in the summable regime
-
-    def _tail(self, n) -> float:
-        x = n + self.shift
-        return _em_tail(self._fint_inf, self._f, self._fp, self._f3, x)
-
-    def _sigma_large(self, n):
-        info = self.summability()
-        if info.summable:
-            return info.trace - self._tail(n)
-        anchor = self._sigma_direct(DIRECT_CAP)
-        return anchor + _em_segment(
-            self._fint,
-            self._f,
-            self._fp,
-            self._f3,
-            DIRECT_CAP + self.shift,
-            n + self.shift,
-        )
-
-    def _S_summable_large(self, n):
-        return -self._tail(n)
-
-    def _summability_info(self):
-        if self.alpha >= -1.0:
-            return SummabilityInfo(NON_SUMMABLE)
-        trace = self._sigma_direct(DIRECT_CAP) + self._tail(DIRECT_CAP)
-        a = DIRECT_CAP + self.shift
-        width = self._fint(a, a + 1)
-        return SummabilityInfo(SUMMABLE, trace, abs(width))
+        return -(math.log(x) ** ap1) / ap1  # ap1 < 0 in the summable regime
 
 
 class GeometricSequence(SpectralSequence):
     """mu_n = r**n with 0 < r < 1; trace r/(1-r) in closed form."""
 
     family = "geometric"
+    _direct_limit = 0
 
     def __init__(self, r: float):
         super().__init__()
@@ -514,17 +482,12 @@ class GeometricSequence(SpectralSequence):
             return 0.0
         return self.r**n
 
-    def _mu(self, n):
-        return self._rpow(n)
+    _mu = _rpow
 
-    def sigma(self, n):
-        if n < 0:
-            raise ParameterError(f"sigma index must be >= 0, got {n}")
+    def _sigma_large(self, n):
         return self._trace * (1.0 - self._rpow(n))
 
-    def S(self, n):
-        if n < 0:
-            raise ParameterError(f"S index must be >= 0, got {n}")
+    def _S_tail(self, n):
         return -self._trace * self._rpow(n)
 
     def _summability_info(self):
@@ -535,6 +498,7 @@ class LogStepSequence(SpectralSequence):
     """mu_n = log(n + 1) - log(n), so that sigma_n = log(n + 1) exactly."""
 
     family = "logstep"
+    _direct_limit = 0
 
     @property
     def descriptor(self):
@@ -546,12 +510,8 @@ class LogStepSequence(SpectralSequence):
     def _mu(self, n):
         return math.log1p(1 / n)
 
-    def sigma(self, n):
-        if n < 0:
-            raise ParameterError(f"sigma index must be >= 0, got {n}")
-        if n == 0:
-            return 0.0
-        return _log_big(n + 1)
+    def _sigma_large(self, n):
+        return math.log(n + 1)
 
     def _summability_info(self):
         return SummabilityInfo(NON_SUMMABLE)
@@ -592,6 +552,7 @@ class AqSequence(SpectralSequence):
     """
 
     family = "aq"
+    _direct_limit = 0
 
     def __init__(self, q: int):
         super().__init__()
@@ -631,9 +592,7 @@ class AqSequence(SpectralSequence):
             return self._lambda0
         return self._lam(self._block_of(n))
 
-    def sigma(self, n):
-        if n < 0:
-            raise ParameterError(f"sigma index must be >= 0, got {n}")
+    def _sigma_large(self, n):
         if n <= 2:
             return n * self._lambda0
         k = self._block_of(n)
@@ -652,6 +611,7 @@ class ScaledSequence(SpectralSequence):
     """c * inner, delegating all evaluations so homogeneity is exact."""
 
     family = "scaled"
+    _direct_limit = 0
 
     def __init__(self, c: float, inner: SpectralSequence):
         super().__init__()
@@ -670,10 +630,10 @@ class ScaledSequence(SpectralSequence):
     def _mu(self, n):
         return self.c * self.inner._mu(n)
 
-    def sigma(self, n):
+    def _sigma_large(self, n):
         return self.c * self.inner.sigma(n)
 
-    def S(self, n):
+    def _S_tail(self, n):
         return self.c * self.inner.S(n)
 
     def _summability_info(self):
@@ -708,6 +668,7 @@ class ExplicitSequence(SpectralSequence):
                     f"explicit values increase at position {i + 1}: {vals[i - 1]!r} -> {v!r}"
                 )
         self._values = vals
+        self._direct_limit = len(vals)
         if trace is not None and summable is False:
             raise ParameterError("a declared trace contradicts summable=False")
         self._declared_trace = trace
@@ -731,16 +692,12 @@ class ExplicitSequence(SpectralSequence):
             )
         return self._values[n - 1]
 
-    def sigma(self, n):
-        if n < 0:
-            raise ParameterError(f"sigma index must be >= 0, got {n}")
-        if n > len(self._values):
-            raise IndexRangeError(
-                f"explicit sequence has {len(self._values)} values, index {n} requested"
-            )
-        if n == 0:
-            return 0.0
-        return self._sigma_direct(n)
+    def _sigma_large(self, n):
+        raise IndexRangeError(
+            f"explicit sequence has {len(self._values)} values, index {n} requested"
+        )
+
+    _S_tail = _sigma_large
 
     def _summability_info(self):
         if self._declared_trace is not None:
@@ -760,6 +717,7 @@ class SumSequence(SpectralSequence):
     """
 
     family = "sum"
+    _direct_limit = 0
 
     def __init__(self, a: SpectralSequence, b: SpectralSequence):
         super().__init__()
@@ -782,14 +740,11 @@ class SumSequence(SpectralSequence):
     def _mu(self, n):
         return self.a._mu(n) + self.b._mu(n)
 
-    def sigma(self, n):
+    def _sigma_large(self, n):
         return self.a.sigma(n) + self.b.sigma(n)
 
-    def S(self, n):
-        info = self.summability()
-        if info.summable:
-            return self.a.S(n) + self.b.S(n)
-        return self.sigma(n)
+    def _S_tail(self, n):
+        return self.a.S(n) + self.b.S(n)
 
     def _summability_info(self):
         ia, ib = self.a.summability(), self.b.summability()
@@ -937,7 +892,7 @@ def mu(seq: SpectralSequence, n) -> float:
 
 
 def sigma_and_S(seq: SpectralSequence, n) -> tuple[float, float]:
-    return seq.sigma_and_S(n)
+    return seq.sigma(n), seq.S(n)
 
 
 def trace_value(seq: SpectralSequence) -> SummabilityInfo:
@@ -947,29 +902,33 @@ def trace_value(seq: SpectralSequence) -> SummabilityInfo:
 def S_walk(seq, first: int, step: int = 1):
     """Yield S_first, S_{first+step}, ..., each bitwise equal to ``seq.S(n)``.
 
-    Up to DIRECT_CAP on a direct Neumaier chain (``S`` and ``sigma`` of the
-    base class, or explicit data) this is one ascending pass in O(1) memory:
-    the chain resumes once from the nearest cached state, adds ``step``
-    terms per value and saves the power-of-two checkpoints it passes.
-    Elsewhere, and for any object that only has ``S``, it calls ``seq.S(n)``.
+    For a :class:`SpectralSequence` of certified class, indices up to its
+    ``_direct_limit`` come from one ascending pass over the direct Neumaier
+    chain in O(1) memory: the chain resumes once from the nearest cached
+    state, adds ``step`` terms per value and saves the power-of-two
+    checkpoints it passes.  Beyond that limit the walk calls the family's
+    ``_S_tail`` (summable) or ``_sigma_large`` hook, the value ``S`` returns
+    there.  Any other object, or a negative start, goes through ``seq.S(n)``.
     """
     if step < 1:
         raise ParameterError(f"walk step must be >= 1, got {step}")
-    n, cls = first, type(seq)
-    if (
-        getattr(cls, "S", None) is SpectralSequence.S
-        and cls.sigma in (SpectralSequence.sigma, ExplicitSequence.sigma)
-        and seq.summability().classification != UNDETERMINED
-    ):
-        offset = seq.summability().trace or 0.0  # x - 0.0 keeps every bit of x
-        limit = min(DIRECT_CAP, seq.safe_mu_horizon())  # explicit data may end first
-        if 0 <= n <= limit:
-            state = seq._direct_state(n)
-            states = chain([state], seq._chain(n, *state, step))
-            # range first: zip must not advance the chain past the limit
-            for n, (s, c) in zip(range(n, limit + 1, step), states):
-                yield s + c - offset
-            n += step
+    n = first
+    if isinstance(seq, SpectralSequence) and n >= 0:
+        info = seq.summability()
+        if info.classification != UNDETERMINED:
+            offset = info.trace or 0.0  # x - 0.0 keeps every bit of x
+            limit = seq._direct_limit
+            if n <= limit:
+                state = seq._direct_state(n)
+                states = chain([state], seq._chain(n, *state, step))
+                # range first: zip must not advance the chain past the limit
+                for n, (s, c) in zip(range(n, limit + 1, step), states):
+                    yield s + c - offset
+                n += step
+            beyond = seq._S_tail if info.summable else seq._sigma_large
+            while True:
+                yield beyond(n)
+                n += step
     while True:
         yield seq.S(n)
         n += step

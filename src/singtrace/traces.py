@@ -42,9 +42,13 @@ class TraceEstimate:
     method: str                  # "dixmier" | "varga"
     cutoff: object               # omega, or the list of sample indices n_k
     oscillation: float
-    ratios_tail: list = field(default_factory=list)
+    samples: list = field(default_factory=list)  # every ratio the value averages
     infinite: bool = False
     low_confidence: bool = False
+
+    @property
+    def ratios_tail(self) -> list:
+        return self.samples[-_RATIO_TAIL_KEEP:]
 
 
 class DilationDefect(NamedTuple):
@@ -101,7 +105,6 @@ def _infinite_estimate(method: str, cutoff) -> TraceEstimate:
         method=method,
         cutoff=cutoff,
         oscillation=0.0,
-        ratios_tail=[],
         infinite=True,
     )
 
@@ -127,7 +130,7 @@ def dixmier_estimate(
         method="dixmier",
         cutoff=omega,
         oscillation=oscillation_of_tail(means, omega),
-        ratios_tail=ratios[-_RATIO_TAIL_KEEP:],
+        samples=ratios,
     )
 
 
@@ -174,7 +177,7 @@ def varga_estimate(
         method="varga",
         cutoff=cutoffs,
         oscillation=max(samples) - min(samples),
-        ratios_tail=samples[-_RATIO_TAIL_KEEP:],
+        samples=samples,
         low_confidence=len(samples) < 3,
     )
 
@@ -315,9 +318,6 @@ class AveragedSequence(SpectralSequence):
     def descriptor(self):
         return f"averaged:k={self.k},({self.source.descriptor})"
 
-    def safe_mu_horizon(self):
-        return 1 << 62
-
     def mu(self, n):
         # underflowed block values are legitimate data here
         if n < 1:
@@ -343,9 +343,6 @@ class DilatedSequence(SpectralSequence):
     @property
     def descriptor(self):
         return f"dilated:k={self.k},({self.base.descriptor})"
-
-    def safe_mu_horizon(self):
-        return 1 << 62
 
     def _mu(self, m):
         n = (m - 1) // self.k + 1

@@ -71,6 +71,29 @@ def test_trace_dixmier_json_and_infinite(capsys):
     assert doc["results"]["value"] is None
 
 
+def test_trace_dixmier_rows_reuse_the_estimate(capsys, monkeypatch):
+    # the running-mean rows come from the estimate's own samples: one S call
+    # per sequence and window index
+    from singtrace.seqcore import SpectralSequence
+
+    calls = 0
+    base_S = SpectralSequence.S
+
+    def counted(seq, n):
+        nonlocal calls
+        calls += 1
+        return base_S(seq, n)
+
+    monkeypatch.setattr(SpectralSequence, "S", counted)
+    code, out, _ = run_cli(
+        "trace", "dixmier", "--a", "harmonic", "--t", "logstep", "--omega", "50",
+        "--format", "csv", capsys=capsys,
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 51  # header and one row per omega
+    assert calls == 2 * 50
+
+
 def test_trace_varga(capsys):
     code, out, _ = run_cli(
         "trace", "varga", "--a", "power:alpha=-2", "--t", "harmonic",

@@ -367,8 +367,18 @@ def test_anchor_calls_keep_ascending_cursor():
 # ---------------------------------------------------------------------------
 
 _EXPLICIT_LEN = 280
+_LONG_SQUARES = [1 / i**2 for i in range(1, sc.DIRECT_CAP + 42)]
 _WALK_FAMILIES = {
-    **{spec: (lambda spec=spec: sc.make_family(spec)) for spec in ALL_SPECS},
+    **{
+        spec: (lambda spec=spec: sc.make_family(spec))
+        for spec in ALL_SPECS + ["scale:c=2,(power:alpha=-2)"]
+    },
+    "sum-mixed": lambda: sc.pointwise_sum(
+        sc.make_family("harmonic"), sc.make_family("power:alpha=-2")
+    ),
+    "sum-summable": lambda: sc.pointwise_sum(
+        sc.make_family("power:alpha=-2"), sc.make_family("geometric:r=0.5")
+    ),
     "averaged": lambda: averaged_operator(sc.make_family("power:alpha=-0.5"), 4, 1 << 10),
     "dilated": lambda: DilatedSequence(sc.make_family("harmonic"), 3),
     # summable data that runs out at _EXPLICIT_LEN
@@ -379,6 +389,8 @@ _WALK_FAMILIES = {
     "explicit-long": lambda: sc.from_values(
         [1.0 / i for i in range(1, sc.DIRECT_CAP + 41)], summable=False
     ),
+    # summable data past DIRECT_CAP
+    "explicit-long-summable": lambda: sc.from_values(_LONG_SQUARES, trace=1.6449),
 }
 _WALK_REFS: dict = {}
 _WALK_STARTS = hs.one_of(
@@ -419,6 +431,35 @@ def test_S_walk_matches_S_bitwise(name, first, step, warm):
         assert got == want, (name, n)
         if isinstance(want, tuple):
             break
+
+
+def test_long_summable_explicit_S_follows_sigma_to_its_last_value():
+    # explicit data is summed directly over all its values, so S past
+    # DIRECT_CAP is sigma - trace rather than a refusal
+    seq = sc.from_values(_LONG_SQUARES, trace=1.6449)
+    size = len(_LONG_SQUARES)
+    for n in range(sc.DIRECT_CAP - 2, size + 1):
+        assert seq.S(n).hex() == (seq.sigma(n) - 1.6449).hex(), n
+    assert seq.sigma(size) == pytest.approx(math.fsum(_LONG_SQUARES), rel=1e-15)
+    for n in (size + 1, sc.DIRECT_CAP * 2, 1 << 100):
+        with pytest.raises(IndexRangeError, match=f"has {size} values, index {n} requested"):
+            seq.S(n)
+
+
+def test_only_the_base_class_dispatches_sigma_and_S():
+    # families supply hooks (_direct_limit, _sigma_large, _S_tail); the
+    # evaluation path of sigma and S is chosen in SpectralSequence alone
+    classes, todo = [], [sc.SpectralSequence]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__ in ("singtrace.seqcore", "singtrace.traces"):
+            classes.append(cls)
+    names = {cls.__name__ for cls in classes}
+    assert {"GeometricSequence", "ScaledSequence", "SumSequence", "ExplicitSequence",
+            "AveragedSequence", "DilatedSequence"} <= names
+    for cls in classes[1:]:
+        assert not {"sigma", "S"} & set(vars(cls)), cls.__name__
 
 
 def test_S_walk_saves_every_power_of_two_it_passes():

@@ -50,6 +50,19 @@ def test_dixmier_mean_is_arithmetic_mean_of_ratios():
     assert est.value == pytest.approx(fsum_mean(ratios), rel=1e-14)
 
 
+def test_estimates_keep_every_sample():
+    a = sc.make_family("power:alpha=-2")
+    t = sc.make_family("harmonic")
+    est = tr.dixmier_estimate(a, t, 40)
+    assert [x.hex() for x in est.samples] == [
+        x.hex() for x in tr.dixmier_ratios(a, t, 40)
+    ]
+    assert est.ratios_tail == est.samples[-5:]
+    est = tr.varga_estimate(a, t, 4, 1 << 12)
+    assert est.samples == [a.S(n) / t.S(n) for n in est.cutoff]
+    assert est.ratios_tail == est.samples[-5:]
+
+
 def test_dixmier_homogeneity():
     t = sc.make_family("logstep")
     base = tr.dixmier_estimate(sc.make_family("harmonic"), t, 300).value
