@@ -10,12 +10,15 @@ in the summable case.
 dispatch.  Up to a family's ``_direct_limit`` sigma_n is a compensated
 (Neumaier) sum in ascending order: ``DIRECT_CAP`` by default, none for the
 closed-form and delegating families (geometric, logstep, aq, scaled,
-sums), and every value for explicit data.  Beyond it the family's hooks
-take over: ``_sigma_large`` (closed forms, or Euler-Maclaurin anchored at
-``DIRECT_CAP``) and, for summable families, the tail form ``_S_tail``, so
-that dyadic windows at indices like 2**10000 stay evaluable in 64-bit
-floats.  :func:`S_walk` yields S_n at ascending indices in one pass with
-O(1) memory.
+sums), and every value for explicit data.  One kernel computes it: it reads
+mu in runs of at most ``RUN`` values from the family's ``_mu_run`` hook,
+which has exactly the bits of ``_mu``, and saves power-of-two checkpoints.
+Beyond the direct range the family's hooks take over: ``_sigma_large``
+(closed forms, or Euler-Maclaurin anchored at ``DIRECT_CAP``) and, for
+summable families, the tail form ``_S_tail``, so that dyadic windows at
+indices like 2**10000 stay evaluable in 64-bit floats.  :func:`S_walk`
+yields S_n at ascending indices in one pass through the same kernel, with
+O(1) memory: one run of at most ``RUN`` values.
 
 Index arguments are Python ints and may exceed 2**64; each family raises
 :class:`IndexRangeError` where a value would leave its float-safe domain
@@ -28,7 +31,7 @@ import math
 import threading
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 from .errors import (
     IndexRangeError,
@@ -42,6 +45,7 @@ EULER_GAMMA = 0.5772156649015328606
 LOG2 = math.log(2.0)
 
 DIRECT_CAP = 1 << 16        # compensated direct summation up to this index
+RUN = 1024                  # values per run of the direct summation kernel
 PROBE_PREFIX = 10_000       # monotonicity probe length at construction
 _BIG_FLOAT_INT = 1 << 1020  # ints beyond this cannot be converted to float
 _EM_PLAIN_X = 1e150         # beyond this the EM correction terms are dropped
@@ -81,7 +85,7 @@ class SpectralSequence:
     family = "abstract"
 
     def __init__(self):
-        self._lock = threading.RLock()  # _chain re-enters it for checkpoints
+        self._lock = threading.RLock()  # re-entrant: _chain saves under it in _direct_state
         self._checkpoints: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
         self._ckpt_keys: list[int] = [0]
         # several resume states so interleaved ascending cursors stay O(1)
@@ -93,6 +97,11 @@ class SpectralSequence:
 
     def _mu(self, n) -> float:
         raise NotImplementedError
+
+    def _mu_run(self, lo: int, hi: int):
+        """mu_lo, ..., mu_hi with exactly the bits of ``_mu``; asked only for
+        indices up to ``_direct_limit`` or the construction probe."""
+        return map(self._mu, range(lo, hi + 1))
 
     def _sigma_large(self, n) -> float:
         """sigma_n for n > _direct_limit; families without a closed/EM form raise."""
@@ -182,7 +191,7 @@ class SpectralSequence:
             if start == n:
                 # served as saved: a new tip would only evict a live cursor
                 return s, c
-            s, c = next(self._chain(start, s, c, n - start))
+            s, c = next(self._chain(start, s, c, n - start, n))
             entry = (n, s, c)
             if best_tip >= 0:
                 self._tips[best_tip] = entry
@@ -192,32 +201,39 @@ class SpectralSequence:
                     self._tips.pop(0)
             return s, c
 
-    def _chain(self, i: int, s: float, c: float, step: int):
-        """Yield the chain state at i + step, i + 2 step, ... from (s, c) at i,
-        with NeumaierSum.add inlined; each power of two passed is saved as a
-        checkpoint under the lock."""
-        mu = self._mu
+    def _chain(self, i: int, s: float, c: float, step: int, stop: int):
+        """Yield the chain state at i + step, i + 2 step, ... <= stop from
+        (s, c) at i, with NeumaierSum.add inlined.
+
+        Terms come from ``_mu_run`` in runs of at most RUN values, none
+        past ``stop``.  Each power of two passed is saved as a checkpoint
+        under the lock before that state is yielded.  Every term and partial
+        sum is >= 0, so ``s >= x`` is NeumaierSum's ``abs(s) >= abs(x)``.
+        """
         edge = 1 << i.bit_length()  # the next power of two above i
-        while True:
-            stop = i + step
-            while i < stop:
-                hi = stop if stop < edge else edge
-                for j in range(i + 1, hi + 1):
-                    x = mu(j)
-                    t = s + x
-                    if abs(s) >= abs(x):
-                        c += (s - t) + x
-                    else:
-                        c += (x - t) + s
-                    s = t
-                i = hi
-                if i == edge:
-                    with self._lock:
-                        if i not in self._checkpoints:
-                            self._checkpoints[i] = (s, c)
-                            insort(self._ckpt_keys, i)
-                    edge <<= 1
-            yield s, c
+        nxt = i + step
+        mark = nxt if nxt < edge else edge
+        while nxt <= stop:
+            hi = min(i + RUN, stop)
+            for j, x in enumerate(self._mu_run(i + 1, hi), i + 1):
+                t = s + x
+                if s >= x:
+                    c += (s - t) + x
+                else:
+                    c += (x - t) + s
+                s = t
+                if j == mark:
+                    if j == edge:
+                        with self._lock:
+                            if j not in self._checkpoints:
+                                self._checkpoints[j] = (s, c)
+                                insort(self._ckpt_keys, j)
+                        edge <<= 1
+                    if j == nxt:
+                        yield s, c
+                        nxt += step
+                    mark = nxt if nxt < edge else edge
+            i = hi
 
     # ---- construction-time validation ---------------------------------------
     def _validate_prefix(self, limit: int | None = None) -> None:
@@ -226,8 +242,7 @@ class SpectralSequence:
         if safe < horizon:
             horizon = int(safe)
         prev = None
-        for i in range(1, horizon + 1):
-            v = self._mu(i)
+        for i, v in enumerate(self._mu_run(1, horizon), 1):
             if not v > 0.0:
                 raise MonotonicityError(
                     f"{self.descriptor}: mu_{i} = {v!r} is not positive"
@@ -256,6 +271,9 @@ class HarmonicSequence(SpectralSequence):
 
     def _mu(self, n):
         return 1 / n  # int/int stays finite for huge n
+
+    def _mu_run(self, lo, hi):
+        return [1 / j for j in range(lo, hi + 1)]
 
     def _sigma_large(self, n):
         return _harmonic_asymptotic(n)
@@ -299,6 +317,10 @@ class _EMSequence(SpectralSequence):
 
     shift = 0
 
+    @cached_property
+    def _anchor(self):
+        return self._sigma_direct(DIRECT_CAP)
+
     def _em_terms(self, x):
         # beyond _EM_PLAIN_X the correction terms are dropped
         if x > _EM_PLAIN_X:
@@ -314,16 +336,15 @@ class _EMSequence(SpectralSequence):
         info = self.summability()
         if info.summable:
             return info.trace + self._S_tail(n)
-        anchor = self._sigma_direct(DIRECT_CAP)
         a, b = DIRECT_CAP + self.shift, n + self.shift
         total = self._fint(a, b)
         (fa, pa, ta), (fb, pb, tb) = self._em_terms(a), self._em_terms(b)
-        return anchor + (total + (fb - fa) / 2.0 + (pb - pa) / 12.0 - (tb - ta) / 720.0)
+        return self._anchor + (total + (fb - fa) / 2.0 + (pb - pa) / 12.0 - (tb - ta) / 720.0)
 
     def _summability_info(self):
         if self.alpha >= -1.0:
             return SummabilityInfo(NON_SUMMABLE)
-        trace = self._sigma_direct(DIRECT_CAP) - self._S_tail(DIRECT_CAP)
+        trace = self._anchor - self._S_tail(DIRECT_CAP)
         # integral-test bracket [int_{N+1}^inf, int_N^inf]: width = int_N^{N+1}
         a = DIRECT_CAP + self.shift
         return SummabilityInfo(SUMMABLE, trace, abs(self._fint(a, a + 1)))
@@ -358,6 +379,10 @@ class PowerSequence(_EMSequence):
         return _pow_big(x, self.alpha)
 
     _mu = _f
+
+    def _mu_run(self, lo, hi):
+        a = self.alpha  # _pow_big's expression for j <= _BIG_FLOAT_INT
+        return [float(j) ** a for j in range(lo, hi + 1)]
 
     def _fp(self, x):
         return self.alpha * _pow_big(x, self.alpha - 1.0)
@@ -414,6 +439,10 @@ class PowLogSequence(_EMSequence):
     def _mu(self, n):
         x = n + self.shift
         return self._f(x)
+
+    def _mu_run(self, lo, hi):
+        a, k = self.alpha, self.shift  # _f's expression for x <= _BIG_FLOAT_INT
+        return [math.log(x) ** a / x for x in range(lo + k, hi + k + 1)]
 
     # f(x) = (ln x)**alpha / x and derivatives, big-int safe
     def _f(self, x):
@@ -692,6 +721,9 @@ class ExplicitSequence(SpectralSequence):
             )
         return self._values[n - 1]
 
+    def _mu_run(self, lo, hi):
+        return self._values[lo - 1 : hi]
+
     def _sigma_large(self, n):
         raise IndexRangeError(
             f"explicit sequence has {len(self._values)} values, index {n} requested"
@@ -903,12 +935,15 @@ def S_walk(seq, first: int, step: int = 1):
     """Yield S_first, S_{first+step}, ..., each bitwise equal to ``seq.S(n)``.
 
     For a :class:`SpectralSequence` of certified class, indices up to its
-    ``_direct_limit`` come from one ascending pass over the direct Neumaier
-    chain in O(1) memory: the chain resumes once from the nearest cached
-    state, adds ``step`` terms per value and saves the power-of-two
-    checkpoints it passes.  Beyond that limit the walk calls the family's
-    ``_S_tail`` (summable) or ``_sigma_large`` hook, the value ``S`` returns
-    there.  Any other object, or a negative start, goes through ``seq.S(n)``.
+    ``_direct_limit`` come from one ascending pass of the direct Neumaier
+    kernel: it resumes once from the nearest cached state, adds ``step``
+    terms per value, yields each value as it reaches it and saves the
+    power-of-two checkpoints it passes.  It holds one run of at most
+    ``RUN`` values, so memory is O(1), and it fetches no value more than
+    one run past the last one taken, nor past ``_direct_limit``.  Beyond
+    that limit the walk calls the family's ``_S_tail`` (summable) or
+    ``_sigma_large`` hook, the value ``S`` returns there.  Any other
+    object, or a negative start, goes through ``seq.S(n)``.
     """
     if step < 1:
         raise ParameterError(f"walk step must be >= 1, got {step}")
@@ -917,12 +952,11 @@ def S_walk(seq, first: int, step: int = 1):
         info = seq.summability()
         if info.classification != UNDETERMINED:
             offset = info.trace or 0.0  # x - 0.0 keeps every bit of x
-            limit = seq._direct_limit
-            if n <= limit:
-                state = seq._direct_state(n)
-                states = chain([state], seq._chain(n, *state, step))
-                # range first: zip must not advance the chain past the limit
-                for n, (s, c) in zip(range(n, limit + 1, step), states):
+            if n <= seq._direct_limit:
+                s, c = seq._direct_state(n)
+                yield s + c - offset
+                for s, c in seq._chain(n, s, c, step, seq._direct_limit):
+                    n += step
                     yield s + c - offset
                 n += step
             beyond = seq._S_tail if info.summable else seq._sigma_large

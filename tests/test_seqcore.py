@@ -22,6 +22,7 @@ from singtrace.errors import (
     SingtraceError,
     UndeterminedSummabilityError,
 )
+from singtrace.summation import NeumaierSum
 from singtrace.traces import DilatedSequence, averaged_operator
 
 ALL_SPECS = [
@@ -340,26 +341,35 @@ def test_walks_in_threads_bitwise():
     assert shared._ckpt_keys == sorted(shared._checkpoints)
 
 
+def _count_fetches(seq):
+    """Wrap ``seq._mu_run``; the returned list gets each (lo, hi) fetched."""
+    inner, runs = seq._mu_run, []
+
+    def counted(lo, hi):
+        runs.append((lo, hi))
+        return inner(lo, hi)
+
+    seq._mu_run = counted
+    return runs
+
+
+def _fetched(runs):
+    return sum(hi - lo + 1 for lo, hi in runs)
+
+
 def test_anchor_calls_keep_ascending_cursor():
-    # beyond DIRECT_CAP the EM path re-anchors at sigma(DIRECT_CAP) on every
-    # call; that exact hit must not evict the cursor of the ascending scan
+    # beyond DIRECT_CAP the EM path anchors at sigma(DIRECT_CAP); computing
+    # that anchor must not evict the cursor of the ascending scan, and every
+    # value of the direct sum is fetched through _mu_run
     seq = sc.make_family("power:alpha=-0.5")
-    inner = seq._mu
-    calls = 0
-
-    def counted(n):
-        nonlocal calls
-        calls += 1
-        return inner(n)
-
-    seq._mu = counted
+    runs = _count_fetches(seq)
     extract_pk(seq, 6, 2**15 + 8192)
-    assert calls <= 2 * sc.DIRECT_CAP
+    assert _fetched(runs) <= 2 * sc.DIRECT_CAP
     # the S_2p walk saved every power of two it passed, the anchor included
     assert sorted(seq._checkpoints) == [0] + [1 << j for j in range(17)]
-    calls = 0
+    runs.clear()
     seq.sigma(sc.DIRECT_CAP)
-    assert calls == 0
+    assert _fetched(runs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +483,113 @@ def test_S_walk_saves_every_power_of_two_it_passes():
 def test_S_walk_rejects_bad_step():
     with pytest.raises(ParameterError):
         next(sc.S_walk(sc.make_family("harmonic"), 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# direct kernel: mu read in runs, one Neumaier loop for sigma and S_walk
+# ---------------------------------------------------------------------------
+
+_RISING = [1.0, 0.5, math.nextafter(0.5, 1.0), 0.25, 0.25, math.nextafter(0.25, 1.0)]
+_KERNEL_FAMILIES = {
+    **{
+        spec: (lambda spec=spec: sc.make_family(spec))
+        for spec in ["harmonic", "power:alpha=-0.5", "power:alpha=-2", "power:alpha=0",
+                     "powlog:alpha=1", "powlog:alpha=3", "powlog:alpha=-2"]
+    },
+    "averaged": _WALK_FAMILIES["averaged"],
+    "dilated": _WALK_FAMILIES["dilated"],
+    "explicit": _WALK_FAMILIES["explicit"],
+    # rises by one ulp within the 1e-15 slack, so the term can exceed the
+    # partial sum and the other Neumaier branch runs
+    "explicit-rising": lambda: sc.from_values(_RISING, trace=3.0),
+}
+_KERNEL_ORACLES: dict = {}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_FAMILIES) + ["power:alpha=-70"])
+@given(data=hs.data())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_mu_run_matches_mu_bitwise(name, data):
+    # mu_j underflows to 0 inside 2^16 at alpha = -70, so that family is
+    # only read here, where the oracle is _mu itself
+    seq = sc.make_family(name) if name == "power:alpha=-70" else _KERNEL_FAMILIES[name]()
+    limit = min(seq._direct_limit, sc.DIRECT_CAP)
+    edge = data.draw(hs.sampled_from([1 << j for j in range(17) if 1 << j <= limit] + [limit]))
+    lo = data.draw(hs.integers(max(1, edge - 40), edge))
+    hi = data.draw(hs.integers(lo, min(limit, edge + 2 * sc.RUN)))
+    got = [v.hex() for v in seq._mu_run(lo, hi)]
+    assert got == [seq._mu(j).hex() for j in range(lo, hi + 1)], (lo, hi)
+
+
+def _neumaier_oracle(name):
+    """Per-term NeumaierSum over public mu: the states at 0..N, and the trace."""
+    if name not in _KERNEL_ORACLES:
+        seq = _KERNEL_FAMILIES[name]()
+        top = min(seq._direct_limit, sc.DIRECT_CAP)
+        acc, sums = NeumaierSum(), [0.0]
+        for j in range(1, top + 1):
+            acc.add(seq.mu(j))
+            sums.append(acc.value)
+        _KERNEL_ORACLES[name] = sums, seq.summability().trace or 0.0
+    return _KERNEL_ORACLES[name]
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_FAMILIES))
+def test_sigma_and_S_walk_match_a_per_term_neumaier_loop(name):
+    sums, trace = _neumaier_oracle(name)
+    top = len(sums) - 1
+    points = sorted({n for j in range(17) for n in ((1 << j) - 1, 1 << j, (1 << j) + 1)
+                     if 1 <= n <= top} | {top, top - 3, 3 * top // 5})
+    for n in {1, 2, 1023, 1024, 1025, 3 * top // 5, top}:
+        if n <= top:
+            assert _KERNEL_FAMILIES[name]().sigma(n).hex() == sums[n].hex(), ("cold", n)
+    warm = _KERNEL_FAMILIES[name]()
+    for n in points + points[::-1]:
+        assert warm.sigma(n).hex() == sums[n].hex(), ("warm", n)
+    for step in (1, 2, 3):
+        for first in (0, 1, 2, 1023, 1025, top - 5):
+            seq = _KERNEL_FAMILIES[name]()
+            walk = sc.S_walk(seq, first, step)
+            for n in range(first, min(top, first + 300 * step) + 1, step):
+                assert next(walk).hex() == (sums[n] - trace).hex(), (step, first, n)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "power:alpha=-0.5", "averaged", "explicit"])
+def test_direct_kernel_fetches_no_value_past_its_target(name):
+    limit = min(_KERNEL_FAMILIES[name]()._direct_limit, sc.DIRECT_CAP)
+    for n in (1, 2, 3, 1000, sc.RUN, sc.RUN + 1, 5000, limit):
+        if n > limit:
+            continue
+        seq = _KERNEL_FAMILIES[name]()
+        runs = _count_fetches(seq)
+        seq.sigma(n)
+        assert _fetched(runs) == n and runs[-1][1] == n, n
+    for first, step, taken in ((1, 1, 1), (1, 1, 2000), (7, 2, 900), (3, 3, 70), (limit - 9, 2, 5)):
+        taken = min(taken, (limit - first) // step + 1)
+        seq = _KERNEL_FAMILIES[name]()
+        runs = _count_fetches(seq)
+        walk = sc.S_walk(seq, first, step)
+        for _ in range(taken):
+            next(walk)
+        last = first + (taken - 1) * step
+        assert last <= runs[-1][1] <= min(last + sc.RUN, seq._direct_limit), (first, step)
+        # the runs tile 1..top in ascending order: no value is fetched twice
+        assert [lo for lo, _ in runs] == [1] + [hi + 1 for _, hi in runs[:-1]]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.5, r"^bumped: mu_7 = 0.5 exceeds mu_6 = 0.16666666666666666$"),
+    (0.0, r"^bumped: mu_7 = 0.0 is not positive$"),
+])
+def test_construction_probe_reports_the_first_bad_index(bad, message):
+    class Bumped(sc.SpectralSequence):
+        descriptor = "bumped"
+
+        def _mu(self, n):
+            return bad if n in (7, 9) else 1 / n
+
+    with pytest.raises(MonotonicityError, match=message):
+        Bumped()._validate_prefix()
 
 
 def test_file_roundtrip(tmp_path):
