@@ -12,13 +12,17 @@ dispatch.  Up to a family's ``_direct_limit`` sigma_n is a compensated
 closed-form and delegating families (geometric, logstep, aq, scaled,
 sums), and every value for explicit data.  One kernel computes it: it reads
 mu in runs of at most ``RUN`` values from the family's ``_mu_run`` hook,
-which has exactly the bits of ``_mu``, and saves power-of-two checkpoints.
-Beyond the direct range the family's hooks take over: ``_sigma_large``
-(closed forms, or Euler-Maclaurin anchored at ``DIRECT_CAP``) and, for
-summable families, the tail form ``_S_tail``, so that dyadic windows at
-indices like 2**10000 stay evaluable in 64-bit floats.  :func:`S_walk`
+which has exactly the bits of ``_mu``, and saves a checkpoint at every
+multiple of ``RUN`` (1024) it passes, so a direct sigma_n adds at most
+``RUN - 1`` terms, in any query order.  Beyond the direct range the
+family's hooks take over: ``_sigma_large`` (closed forms, or
+Euler-Maclaurin anchored at ``DIRECT_CAP``) and, for summable families,
+the tail form ``_S_tail``, so that dyadic windows at indices like 2**10000
+stay evaluable in 64-bit floats.  :func:`S_walk`
 yields S_n at ascending indices in one pass through the same kernel, with
-O(1) memory: one run of at most ``RUN`` values.
+O(1) memory: one run of at most ``RUN`` values.  Scans belong there: a
+loop of one ``S(n)`` call per ascending index pays up to ``RUN - 1`` terms
+per call.
 
 Index arguments are Python ints and may exceed 2**64; each family raises
 :class:`IndexRangeError` where a value would leave its float-safe domain
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,11 +88,8 @@ class SpectralSequence:
     family = "abstract"
 
     def __init__(self):
-        self._lock = threading.RLock()  # re-entrant: _chain saves under it in _direct_state
-        self._checkpoints: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
-        self._ckpt_keys: list[int] = [0]
-        # several resume states so interleaved ascending cursors stay O(1)
-        self._tips: list[tuple[int, float, float]] = []
+        self._lock = threading.Lock()  # guards only the append to _ckpts
+        self._ckpts: list[tuple[float, float]] = [(0.0, 0.0)]  # state at k * RUN
         self._info: SummabilityInfo | None = None
 
     # ---- hooks implemented by the families --------------------------------
@@ -172,48 +172,36 @@ class SpectralSequence:
     def __repr__(self):
         return f"<SpectralSequence {self.descriptor}>"
 
-    # ---- cached direct summation -------------------------------------------
+    # ---- checkpointed direct summation -------------------------------------
     def _sigma_direct(self, n: int) -> float:
-        s, c = self._direct_state(n)
-        return s + c
+        return next(self._sums(n, 1, n, 0.0))
 
-    def _direct_state(self, n: int) -> tuple[float, float]:
-        # Checkpointed Neumaier chain: resuming from a saved (partial, carry)
-        # state is bitwise identical to a fresh pass from index 1.
-        with self._lock:
-            start = self._ckpt_keys[bisect_right(self._ckpt_keys, n) - 1]
-            s, c = self._checkpoints[start]
-            best_tip = -1
-            for idx, (tn, ts, tc) in enumerate(self._tips):
-                if start < tn <= n:
-                    start, s, c = tn, ts, tc
-                    best_tip = idx
-            if start == n:
-                # served as saved: a new tip would only evict a live cursor
-                return s, c
-            s, c = next(self._chain(start, s, c, n - start, n))
-            entry = (n, s, c)
-            if best_tip >= 0:
-                self._tips[best_tip] = entry
-            else:
-                self._tips.append(entry)
-                if len(self._tips) > 8:
-                    self._tips.pop(0)
-            return s, c
+    def _sums(self, n: int, step: int, stop: int, offset: float):
+        """Yield sigma_m - offset at m = n, n + step, ... <= stop: one
+        Neumaier chain with NeumaierSum.add inlined.
 
-    def _chain(self, i: int, s: float, c: float, step: int, stop: int):
-        """Yield the chain state at i + step, i + 2 step, ... <= stop from
-        (s, c) at i, with NeumaierSum.add inlined.
-
-        Terms come from ``_mu_run`` in runs of at most RUN values, none
-        past ``stop``.  Each power of two passed is saved as a checkpoint
-        under the lock before that state is yielded.  Every term and partial
-        sum is >= 0, so ``s >= x`` is NeumaierSum's ``abs(s) >= abs(x)``.
+        The chain resumes from the checkpoint at or below n; resuming from a
+        saved (partial, carry) state is bitwise a fresh pass from index 1.
+        Terms come from ``_mu_run`` in runs that end at multiples of RUN,
+        none past ``stop``.  ``_ckpts[k]`` is the state at k * RUN: the chain
+        appends each multiple it passes that the list lacks, before it
+        yields that state.  It starts at or below the last checkpoint, so
+        the list stays dense.  Every term and partial sum is >= 0, so
+        ``s >= x`` is NeumaierSum's ``abs(s) >= abs(x)``.
         """
-        edge = 1 << i.bit_length()  # the next power of two above i
-        nxt = i + step
-        mark = nxt if nxt < edge else edge
-        while nxt <= stop:
+        ckpts = self._ckpts
+        k = min(n // RUN, len(ckpts) - 1)
+        i, (s, c) = k * RUN, ckpts[k]
+        while True:
+            if i == len(ckpts) * RUN:
+                with self._lock:
+                    if i == len(ckpts) * RUN:
+                        ckpts.append((s, c))
+            if i == n:
+                yield s + c - offset
+                n += step
+            if n > stop:
+                return
             hi = min(i + RUN, stop)
             for j, x in enumerate(self._mu_run(i + 1, hi), i + 1):
                 t = s + x
@@ -222,17 +210,9 @@ class SpectralSequence:
                 else:
                     c += (x - t) + s
                 s = t
-                if j == mark:
-                    if j == edge:
-                        with self._lock:
-                            if j not in self._checkpoints:
-                                self._checkpoints[j] = (s, c)
-                                insort(self._ckpt_keys, j)
-                        edge <<= 1
-                    if j == nxt:
-                        yield s, c
-                        nxt += step
-                    mark = nxt if nxt < edge else edge
+                if j == n and j < hi:  # the top of the loop saves, then yields, hi
+                    yield s + c - offset
+                    n += step
             i = hi
 
     # ---- construction-time validation ---------------------------------------
@@ -936,12 +916,12 @@ def S_walk(seq, first: int, step: int = 1):
 
     For a :class:`SpectralSequence` of certified class, indices up to its
     ``_direct_limit`` come from one ascending pass of the direct Neumaier
-    kernel: it resumes once from the nearest cached state, adds ``step``
-    terms per value, yields each value as it reaches it and saves the
-    power-of-two checkpoints it passes.  It holds one run of at most
-    ``RUN`` values, so memory is O(1), and it fetches no value more than
-    one run past the last one taken, nor past ``_direct_limit``.  Beyond
-    that limit the walk calls the family's ``_S_tail`` (summable) or
+    kernel: it resumes once from the checkpoint below ``first``, adds
+    ``step`` terms per value, yields each value as it reaches it and saves
+    a checkpoint at each multiple of ``RUN`` it passes.  It holds one run
+    of at most ``RUN`` values, so memory is O(1), and it fetches no value
+    more than one run past the last one taken, nor past ``_direct_limit``.
+    Beyond that limit the walk calls the family's ``_S_tail`` (summable) or
     ``_sigma_large`` hook, the value ``S`` returns there.  Any other
     object, or a negative start, goes through ``seq.S(n)``.
     """
@@ -952,13 +932,10 @@ def S_walk(seq, first: int, step: int = 1):
         info = seq.summability()
         if info.classification != UNDETERMINED:
             offset = info.trace or 0.0  # x - 0.0 keeps every bit of x
-            if n <= seq._direct_limit:
-                s, c = seq._direct_state(n)
-                yield s + c - offset
-                for s, c in seq._chain(n, s, c, step, seq._direct_limit):
-                    n += step
-                    yield s + c - offset
-                n += step
+            limit = seq._direct_limit
+            if n <= limit:
+                yield from seq._sums(n, step, limit, offset)
+                n += ((limit - n) // step + 1) * step
             beyond = seq._S_tail if info.summable else seq._sigma_large
             while True:
                 yield beyond(n)

@@ -5,6 +5,7 @@ math.fsum, closed forms, and small rational computations.
 """
 
 import math
+import random
 import sys
 import threading
 
@@ -196,10 +197,11 @@ def test_concavity_of_S():
     # S_{n+1} - S_n <= S_n - S_{n-1} is equivalent to mu non-increasing
     for spec in ALL_SPECS:
         seq = sc.make_family(spec)
+        s = {n: seq.S(n) for n in range(1, 401)}
         for n in range(2, 400):
-            lhs = seq.S(n + 1) - seq.S(n)
-            rhs = seq.S(n) - seq.S(n - 1)
-            assert lhs <= rhs + 1e-12 * max(1.0, abs(seq.S(n))), (spec, n)
+            lhs = s[n + 1] - s[n]
+            rhs = s[n] - s[n - 1]
+            assert lhs <= rhs + 1e-12 * max(1.0, abs(s[n])), (spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -291,45 +293,20 @@ def test_recomputation_determinism_bitwise():
     assert vals_a == list(reversed(vals_b))
 
 
-def test_cache_thread_safety_bitwise():
-    fresh = sc.make_family("power:alpha=-0.5")
-    reference = {n: sc.make_family("power:alpha=-0.5").sigma(n) for n in (999, 4096, 30_000)}
-    errors = []
-
-    def worker(n):
-        for _ in range(50):
-            if fresh.sigma(n) != reference[n]:
-                errors.append(n)
-
-    threads = [threading.Thread(target=worker, args=(n,)) for n in reference for _ in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+def _neumaier_sums(seq, top):
+    """sigma_0..sigma_top from a per-term NeumaierSum over public mu."""
+    acc, sums = NeumaierSum(), [0.0]
+    for j in range(1, top + 1):
+        acc.add(seq.mu(j))
+        sums.append(acc.value)
+    return sums
 
 
-def test_walks_in_threads_bitwise():
-    # walks record checkpoints from several threads while sigma calls read
-    # them; every value and the checkpoint index must match a lone run
-    spec, top = "power:alpha=-0.5", 20_000
-    ref = sc.make_family(spec)
-    reference = [ref.S(n) for n in range(1, top + 1)]
-    shared = sc.make_family(spec)
-    errors = []
-
-    def walker(step):
-        walk = sc.S_walk(shared, step, step)
-        for n in range(step, top + 1, step):
-            if next(walk) != reference[n - 1]:
-                errors.append((step, n))
-        if shared.sigma(top - 7) != reference[top - 8]:
-            errors.append(("sigma", top - 7))
-
+def _run_threads(target, args):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=walker, args=(1 + j % 2,)) for j in range(6)]
+        threads = [threading.Thread(target=target, args=(a,)) for a in args]
         for t in threads:
             t.start()
         for t in threads:
@@ -337,8 +314,51 @@ def test_walks_in_threads_bitwise():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_cache_thread_safety_bitwise():
+    # cold queries in shuffled order from several threads: the kernel runs
+    # outside the lock, and each thread appends the checkpoints it passes
+    spec, top = "power:alpha=-0.5", 30_000
+    sums = _neumaier_sums(sc.make_family(spec), top)
+    fresh = sc.make_family(spec)
+    errors = []
+
+    def worker(seed):
+        ns = [999, 4096, 30_000, 1, sc.RUN, 3 * sc.RUN + 1] + list(range(seed, top, 977))
+        random.Random(seed).shuffle(ns)
+        for n in ns:
+            if fresh.sigma(n) != sums[n]:
+                errors.append((seed, n))
+
+    _run_threads(worker, range(1, 7))
     assert not errors
-    assert shared._ckpt_keys == sorted(shared._checkpoints)
+    lone = sc.make_family(spec)
+    lone.sigma(top)
+    assert fresh._ckpts == lone._ckpts
+
+
+def test_walks_in_threads_bitwise():
+    # walks record checkpoints from several threads while sigma calls read
+    # them; every value and the checkpoint list must match a lone run
+    spec, top = "power:alpha=-0.5", 20_000
+    reference = _neumaier_sums(sc.make_family(spec), top)
+    shared = sc.make_family(spec)
+    errors = []
+
+    def walker(step):
+        walk = sc.S_walk(shared, step, step)
+        for n in range(step, top + 1, step):
+            if next(walk) != reference[n]:
+                errors.append((step, n))
+        if shared.sigma(top - 7) != reference[top - 7]:
+            errors.append(("sigma", top - 7))
+
+    _run_threads(walker, [1 + j % 2 for j in range(6)])
+    assert not errors
+    lone = sc.make_family(spec)
+    lone.sigma(top)
+    assert shared._ckpts == lone._ckpts
 
 
 def _count_fetches(seq):
@@ -359,14 +379,14 @@ def _fetched(runs):
 
 def test_anchor_calls_keep_ascending_cursor():
     # beyond DIRECT_CAP the EM path anchors at sigma(DIRECT_CAP); computing
-    # that anchor must not evict the cursor of the ascending scan, and every
-    # value of the direct sum is fetched through _mu_run
+    # that anchor must not restart the ascending scan, and every value of
+    # the direct sum is fetched through _mu_run
     seq = sc.make_family("power:alpha=-0.5")
     runs = _count_fetches(seq)
     extract_pk(seq, 6, 2**15 + 8192)
     assert _fetched(runs) <= 2 * sc.DIRECT_CAP
-    # the S_2p walk saved every power of two it passed, the anchor included
-    assert sorted(seq._checkpoints) == [0] + [1 << j for j in range(17)]
+    # the S_2p walk saved every multiple of RUN it passed, the anchor included
+    assert len(seq._ckpts) == sc.DIRECT_CAP // sc.RUN + 1
     runs.clear()
     seq.sigma(sc.DIRECT_CAP)
     assert _fetched(runs) == 0
@@ -472,12 +492,15 @@ def test_only_the_base_class_dispatches_sigma_and_S():
         assert not {"sigma", "S"} & set(vars(cls)), cls.__name__
 
 
-def test_S_walk_saves_every_power_of_two_it_passes():
+def test_S_walk_saves_every_multiple_of_RUN_it_passes():
+    # S_5, S_8, ..., S_{2 RUN}: the state at 2 RUN is saved before the walk
+    # yields it, so stopping right there leaves it in the list
     seq = sc.make_family("harmonic")
+    sums = _neumaier_sums(seq, 2 * sc.RUN)
     walk = sc.S_walk(seq, 5, 3)
-    for _ in range(400):  # S_5 .. S_1202
+    for _ in range((2 * sc.RUN - 5) // 3 + 1):
         next(walk)
-    assert sorted(seq._checkpoints) == [0] + [1 << j for j in range(11)]
+    assert [s + c for s, c in seq._ckpts] == [sums[0], sums[sc.RUN], sums[2 * sc.RUN]]
 
 
 def test_S_walk_rejects_bad_step():
@@ -525,11 +548,7 @@ def _neumaier_oracle(name):
     """Per-term NeumaierSum over public mu: the states at 0..N, and the trace."""
     if name not in _KERNEL_ORACLES:
         seq = _KERNEL_FAMILIES[name]()
-        top = min(seq._direct_limit, sc.DIRECT_CAP)
-        acc, sums = NeumaierSum(), [0.0]
-        for j in range(1, top + 1):
-            acc.add(seq.mu(j))
-            sums.append(acc.value)
+        sums = _neumaier_sums(seq, min(seq._direct_limit, sc.DIRECT_CAP))
         _KERNEL_ORACLES[name] = sums, seq.summability().trace or 0.0
     return _KERNEL_ORACLES[name]
 
@@ -564,6 +583,17 @@ def test_direct_kernel_fetches_no_value_past_its_target(name):
         runs = _count_fetches(seq)
         seq.sigma(n)
         assert _fetched(runs) == n and runs[-1][1] == n, n
+    # warm: each query starts from the checkpoint below it
+    seq = _KERNEL_FAMILIES[name]()
+    seq.sigma(limit)
+    runs = _count_fetches(seq)
+    ns = list(range(1, limit + 1, 2999))
+    ns += [n for n in (sc.RUN - 1, sc.RUN, sc.RUN + 1, limit - 1, limit) if n <= limit]
+    random.Random(limit).shuffle(ns)
+    for n in ns + sorted(ns, reverse=True):
+        runs.clear()
+        seq.sigma(n)
+        assert _fetched(runs) == n % sc.RUN, n
     for first, step, taken in ((1, 1, 1), (1, 1, 2000), (7, 2, 900), (3, 3, 70), (limit - 9, 2, 5)):
         taken = min(taken, (limit - first) // step + 1)
         seq = _KERNEL_FAMILIES[name]()
