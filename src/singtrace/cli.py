@@ -19,7 +19,7 @@ import sys
 from . import example4 as ex4
 from . import traces
 from .eccentric import analyze_eccentricity, extract_pk
-from .errors import SingtraceError
+from .errors import ParameterError, SingtraceError
 from .seqcore import make_family
 from .states import WindowState, ergodicity_probe, structured_set
 from .summation import running_means
@@ -67,20 +67,36 @@ def _emit(doc: dict, csv_rows, args) -> None:
         sys.stdout.write(payload)
 
 
+# the longest window `state` evaluates, per index; also the default sweep's top
+STATE_WINDOW_BUDGET = 1 << 24
+
+
 def _parse_window(args) -> WindowState:
+    """The window of --window or --window-square, refused before any index
+    is evaluated when it is longer than STATE_WINDOW_BUDGET."""
     if args.window_square:
-        params = _parse_kv(args.window_square, ("r", "s"))
-        r, s = int(params["r"]), int(params["s"])
+        r, s = _parse_ints(args.window_square, ("r", "s"))
         if not 0 < r < s:
             raise UsageError(f"--window-square needs 0 < r < s, got r={r}, s={s}")
-        k = (2 * r) ** 2
-        return WindowState("translation", k=k, n=(2 * s) ** 2 - k)
-    if args.window:
-        params = _parse_kv(args.window, ("k", "n"))
-        mode = args.mode
-        m = args.m if args.m else 1
-        return WindowState(mode, k=int(params["k"]), n=int(params["n"]), m=m)
-    raise UsageError("state needs either --window k=..,n=.. or --window-square r=..,s=..")
+        mode, k, n, m = "translation", (2 * r) ** 2, (2 * s) ** 2 - (2 * r) ** 2, 1
+    elif args.window:
+        mode, m = args.mode, args.m
+        k, n = _parse_ints(args.window, ("k", "n"))
+    else:
+        raise UsageError("state needs either --window k=..,n=.. or --window-square r=..,s=..")
+    if n > STATE_WINDOW_BUDGET:
+        raise ParameterError(
+            f"window length {n} exceeds the state budget of {STATE_WINDOW_BUDGET} indices"
+        )
+    return WindowState(mode, k=k, n=n, m=m)
+
+
+def _parse_ints(text: str, keys) -> list:
+    params = _parse_kv(text, keys)
+    try:
+        return [int(params[key]) for key in keys]
+    except ValueError as exc:
+        raise UsageError(f"expected integer {','.join(keys)}, got {text!r}") from exc
 
 
 def _parse_kv(text: str, keys) -> dict:
@@ -242,7 +258,7 @@ def _cmd_state(args) -> None:
         records = []
         n = 1 << 10
         prev = None
-        while n <= 1 << 24:
+        while n <= STATE_WINDOW_BUDGET:
             (rec,) = ergodicity_probe(chi, [WindowState("translation", k=args.k0, n=n)])
             records.append(rec)
             mean = rec.estimate.mean

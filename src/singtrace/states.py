@@ -7,7 +7,11 @@ geometric orbit (2m-1) 2^(i-1) for i in the same range.  The bijection
 second coordinate, which is what makes the two window modes interchange.
 
 Indicator sequences (structured sets) are counted in exact integer
-arithmetic; floating point enters only in the final division.
+arithmetic; floating point enters only in the final division.  A set's
+membership test is built once, with the set, and each evaluator visits
+each window index once: the shifted window of the translation defect and
+the second of two overlapping equivalence windows are counted from the
+first window's count plus the few indices where the two differ.
 """
 
 from __future__ import annotations
@@ -16,13 +20,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import Callable
 
 from .errors import ParameterError, PartitionError, SequenceSpecError
 from .summation import NeumaierSum
-
-_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -48,12 +51,12 @@ class WindowState:
             raise ParameterError(f"window length n must be >= 1, got {self.n}")
         if self.m < 1:
             raise ParameterError(f"odd-part selector m must be >= 1, got {self.m}")
-        if self.mode == "dyadic":
-            top = (2 * self.m - 1) << (self.k + self.n - 1)
-            if top >= _INT64_LIMIT:
-                raise ParameterError(
-                    f"dyadic window reaches index {top}, beyond the 64-bit range"
-                )
+        # the bit length decides, so a huge k + n never builds its power of two
+        if self.mode == "dyadic" and (2 * self.m - 1).bit_length() + self.k + self.n > 64:
+            raise ParameterError(
+                f"dyadic window reaches index (2m-1) 2^{self.k + self.n - 1} with "
+                f"m = {self.m}, beyond the 64-bit range"
+            )
 
     def indices(self):
         if self.mode == "translation":
@@ -78,7 +81,11 @@ class StateEstimate:
 
 @dataclass(frozen=True)
 class SetSpec:
-    """Structured subset of N: squares, dyadicblocks, or explicit intervals."""
+    """Structured subset of N: squares, dyadicblocks, or explicit intervals.
+
+    An intervals set also carries ``edges`` = (lo_1, hi_1 + 1, lo_2,
+    hi_2 + 1, ...), built once here for its membership test.
+    """
 
     kind: str                               # "squares" | "dyadicblocks" | "intervals"
     intervals: tuple = ()
@@ -98,6 +105,29 @@ class SetSpec:
                         f"intervals must be sorted and disjoint; [{lo}, {hi}] overlaps"
                     )
                 prev_hi = hi
+            edges = tuple(e for lo, hi in self.intervals for e in (lo, hi + 1))
+            object.__setattr__(self, "edges", edges)
+
+
+def _squares_chi(i: int) -> int:
+    # blocks [(2j-1)^2, (2j)^2], both endpoints included: every perfect
+    # square is a block boundary, and a non-square sits in a block exactly
+    # when its integer square root is odd
+    if i < 1:
+        return 0
+    root = math.isqrt(i)
+    return 1 if root & 1 or root * root == i else 0
+
+
+def _dyadicblocks_chi(i: int) -> int:
+    # blocks (2^(2q-1), 2^(2q)]: even bit-length of i-1, from (2, 4]
+    return 1 if i > 2 and not (i - 1).bit_length() & 1 else 0
+
+
+def _intervals_chi(edges: tuple, i: int) -> int:
+    # i lies in an interval exactly when an odd number of edges is <= i;
+    # where one interval ends right before the next, bisect counts both edges
+    return bisect_right(edges, i) & 1
 
 
 class IndicatorAccessor:
@@ -108,29 +138,15 @@ class IndicatorAccessor:
     def __init__(self, spec: SetSpec):
         self.spec = spec
         if spec.kind == "intervals":
-            self._los = [lo for lo, _ in spec.intervals]
-            self._his = [hi for _, hi in spec.intervals]
+            self._chi = partial(_intervals_chi, spec.edges)
+        else:
+            self._chi = _squares_chi if spec.kind == "squares" else _dyadicblocks_chi
 
     def contains(self, i: int) -> bool:
-        if i < 1:
-            return False
-        kind = self.spec.kind
-        if kind == "squares":
-            # blocks [(2j-1)^2, (2j)^2], both endpoints included: every
-            # perfect square is a block boundary, and a non-square sits in
-            # a block exactly when its integer square root is odd
-            root = math.isqrt(i)
-            return root * root == i or root % 2 == 1
-        if kind == "dyadicblocks":
-            # blocks (2^(2q-1), 2^(2q)]: even bit-length of i-1, from (2, 4]
-            if i < 3:
-                return False
-            return (i - 1).bit_length() % 2 == 0
-        pos = bisect_right(self._los, i) - 1
-        return pos >= 0 and i <= self._his[pos]
+        return self._chi(i) == 1
 
     def __call__(self, i: int) -> int:
-        return 1 if self.contains(i) else 0
+        return self._chi(i)
 
 
 def structured_set(spec) -> IndicatorAccessor:
@@ -154,14 +170,18 @@ def structured_set(spec) -> IndicatorAccessor:
 def load_intervals(path: str) -> tuple:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise SequenceSpecError(f"interval line must be 'lo,hi', got {line!r}")
-            out.append((int(parts[0]), int(parts[1])))
+            try:
+                lo, hi = map(int, line.split(","))
+            except ValueError:
+                raise SequenceSpecError(
+                    f"{path} line {number}: an interval line is 'lo,hi' in integers, "
+                    f"got {line!r}"
+                ) from None
+            out.append((lo, hi))
     return tuple(out)
 
 
@@ -174,10 +194,9 @@ def eta(m: int, n: int) -> int:
     """(m, n) -> (2m - 1) 2^(n - 1), a bijection of N x N onto N."""
     if m < 1 or n < 1:
         raise ParameterError(f"eta needs m, n >= 1, got ({m}, {n})")
-    j = (2 * m - 1) << (n - 1)
-    if j >= _INT64_LIMIT:
-        raise ParameterError(f"eta({m}, {n}) = {j} exceeds the 64-bit range")
-    return j
+    if (2 * m - 1).bit_length() + n > 64:
+        raise ParameterError(f"eta({m}, {n}) = (2m-1) 2^{n - 1} exceeds the 64-bit range")
+    return (2 * m - 1) << (n - 1)
 
 
 def eta_inv(j: int) -> tuple[int, int]:
@@ -204,10 +223,11 @@ def window_mean(a: Callable, w: WindowState) -> StateEstimate:
     indices = iter(w.indices())
     head = w.n - max(1, w.n // 4)
     if getattr(a, "is_indicator", False):
-        hits = sum(a(i) for i in islice(indices, head)) + a(next(indices))
+        values = map(a, indices)
+        hits = sum(islice(values, head + 1))
         hi = lo = hits / (head + 1)
-        for j, i in enumerate(indices, start=head + 2):
-            hits += a(i)
+        for j, v in enumerate(values, start=head + 2):
+            hits += v
             mean = hits / j
             if mean > hi:
                 hi = mean
@@ -266,11 +286,15 @@ def ergodicity_probe(spec, windows) -> list:
     out = []
     for w in windows:
         est = window_mean(chi, w)
-        est_shift = window_mean(shifted, w)
+        if w.mode == "translation":
+            # the shifted window k+2..k+n+1 differs from k+1..k+n at its ends
+            shift_hits = est.hits - chi(w.k + 1) + chi(w.k + w.n + 1)
+        else:
+            shift_hits = window_mean(shifted, w).hits
         record = ErgodicityRecord(
             window=w,
             estimate=est,
-            translation_defect=abs(est.mean - est_shift.mean),
+            translation_defect=abs(est.mean - shift_hits / w.n),
         )
         if chi.spec.kind == "squares" and w.mode == "translation":
             r = _even_square_root(w.k)
@@ -315,10 +339,24 @@ def window_equivalence_defect(
     if w1.mode != "translation" or w2.mode != "translation":
         raise ParameterError("window equivalence requires two translation windows")
     sum1, sup1 = _sum_and_sup(a, w1.indices())
-    sum2, sup2 = _sum_and_sup(a, w2.indices())
-    defect = abs(sum1 / w1.n - sum2 / w2.n)
+    (k, n), (l, p) = (w1.k, w1.n), (w2.k, w2.n)
+    if getattr(a, "is_indicator", False) and abs(k - l) + abs(k + n - l - p) < p:
+        # the windows overlap: count window 2 from window 1, taking off
+        # the indices only window 1 covers and adding those only window 2
+        # covers (each range below is empty unless its ends are in order)
+        sum2 = (
+            sum1
+            - sum(map(a, range(k + 1, l + 1)))
+            + sum(map(a, range(l + 1, k + 1)))
+            - sum(map(a, range(l + p + 1, k + n + 1)))
+            + sum(map(a, range(k + n + 1, l + p + 1)))
+        )
+        sup2 = 1.0 if sum2 else 0.0
+    else:
+        sum2, sup2 = _sum_and_sup(a, w2.indices())
+    defect = abs(sum1 / n - sum2 / p)
     sup = max(sup1, sup2)
-    bound = sup * (2 * abs(w1.k - w2.k) + 2 * abs(w2.n - w1.n)) / min(w1.n, w2.n)
+    bound = sup * (2 * abs(k - l) + 2 * abs(p - n)) / min(n, p)
     if defect > bound + 1e-12:
         raise ParameterError(
             f"window equivalence defect {defect:g} exceeds its bound {bound:g}"
@@ -373,7 +411,7 @@ def _sum_and_sup(a: Callable, indices, total: NeumaierSum | None = None):
     """Sum of a(i) over ``indices`` and sup |a(i)| in one pass, also added
     to ``total``: an exact count for indicators, else float by float."""
     if getattr(a, "is_indicator", False):
-        hits = sum(a(i) for i in indices)
+        hits = sum(map(a, indices))
         if total is not None:
             total.add(float(hits))
         return hits, (1.0 if hits else 0.0)
@@ -392,10 +430,13 @@ def eta_pullback(a: Callable, m: int):
     """Row of ``a`` along the eta orbit: i -> a((2m-1) 2^(i-1)).
 
     The dyadic mean of ``a`` over (k, m, n) equals the translation mean of
-    this pullback over (k, n) exactly.
+    this pullback over (k, n) exactly.  The row of an indicator is an
+    indicator, counted in integers as ``a`` is.
     """
+    odd = 2 * m - 1
 
     def row(i: int):
-        return a((2 * m - 1) << (i - 1))
+        return a(odd << (i - 1))
 
+    row.is_indicator = getattr(a, "is_indicator", False)
     return row

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from singtrace import cli
 from singtrace import example4 as ex4
 from singtrace.cli import main
+from singtrace.states import IndicatorAccessor
 
 
 def run_cli(*argv, capsys=None):
@@ -238,6 +240,45 @@ def test_example4_sweeps_check_every_job_first(argv, monkeypatch, capsys):
     code, out, _ = run_cli(*argv, capsys=capsys)
     assert code == 1 and out == ""
     assert calls == []
+
+
+def test_state_window_arguments_fail_fast(tmp_path, capsys):
+    for flag, value in (("--window", "k=x,n=10"), ("--window-square", "r=a,s=3")):
+        code, out, err = run_cli("state", "--set", "squares", flag, value, capsys=capsys)
+        assert code == 2 and out == "" and "Traceback" not in err
+    # m = 0 is not silently replaced by 1
+    code, out, err = run_cli(
+        "state", "--set", "squares", "--window", "k=0,n=10", "--m", "0", capsys=capsys
+    )
+    assert code == 1 and out == "" and "m must be >= 1" in err
+    bad = tmp_path / "iv.txt"
+    bad.write_text("1,5\nx,9\n")
+    code, out, err = run_cli(
+        "state", "--set", f"intervals:file={bad}", "--window", "k=0,n=10", capsys=capsys
+    )
+    assert code == 1 and out == "" and "line 2" in err
+
+
+def test_state_window_budget_refuses_before_evaluating(monkeypatch, capsys):
+    chi_calls, probed = [], []
+    monkeypatch.setattr(IndicatorAccessor, "__call__", lambda chi, i: chi_calls.append(i) or 0)
+    for argv in (
+        ("--window", f"k=0,n={cli.STATE_WINDOW_BUDGET + 1}"),
+        ("--window-square", "r=1,s=2049"),  # n = 4 * 2049^2 - 4 > 2^24
+        ("--mode", "dyadic", "--window", f"k=0,n={cli.STATE_WINDOW_BUDGET + 1}"),
+        ("--window", "k=0,n=1000000000000"),
+    ):
+        code, out, err = run_cli("state", "--set", "squares", *argv, capsys=capsys)
+        assert code == 1 and out == "" and "budget" in err, argv
+    assert chi_calls == []
+    # windows of the budget's length or shorter reach the probe
+    monkeypatch.setattr(cli, "ergodicity_probe", lambda chi, ws: probed.extend(ws) or [])
+    for argv in (
+        ("--window", f"k=0,n={cli.STATE_WINDOW_BUDGET}"),
+        ("--window-square", "r=1,s=2048"),
+    ):
+        assert run_cli("state", "--set", "squares", *argv, capsys=capsys)[0] == 0
+    assert [w.n for w in probed] == [cli.STATE_WINDOW_BUDGET, 4 * 2048**2 - 4]
 
 
 _GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"

@@ -1,5 +1,6 @@
 """Window states, structured sets, the eta bijection and split identities."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -48,6 +49,11 @@ def test_eta_roundtrip_and_injectivity():
 def test_eta_overflow():
     with pytest.raises(ParameterError):
         st.eta(1, 80)
+    with pytest.raises(ParameterError):
+        st.eta(1, 2**27)  # refused by bit length, without building 2^(2^27)
+    with pytest.raises(ParameterError):
+        st.eta(2, 63)  # 3 * 2^62
+    assert st.eta(1, 63) == 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +109,17 @@ def test_intervals_set(tmp_path):
         st.SetSpec("intervals", ((5, 4),))
     with pytest.raises(SequenceSpecError):
         st.SetSpec("intervals", ((1, 5), (5, 9)))
+    # a set keeps its membership through a pickle round trip
+    acc3 = st.IndicatorAccessor(pickle.loads(pickle.dumps(acc2.spec)))
+    assert acc3.spec == acc2.spec and acc3(5) == 1 and acc3(6) == 0
+
+
+def test_interval_file_bad_line_names_it(tmp_path):
+    path = tmp_path / "iv.txt"
+    for text, line in (("1,5\nx,9\n", 2), ("1,5\n\n7\n", 3), ("# note\n1,5\n7,8,9\n", 3)):
+        path.write_text(text)
+        with pytest.raises(SequenceSpecError, match=f"line {line}:"):
+            st.structured_set(f"intervals:file={path}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +176,27 @@ _EDGES = {
     name: [i for i in range(1, 5000) if chi(i) != chi(i + 1)]
     for name, chi in _SETS.items()
 }
+
+
+# the same sets as explicit block lists
+_BLOCKS = {
+    "squares": [((2 * j - 1) ** 2, (2 * j) ** 2) for j in range(1, 40)],
+    "dyadicblocks": [(2 ** (2 * q - 1) + 1, 2 ** (2 * q)) for q in range(1, 10)],
+    "intervals": _SETS["intervals"].spec.intervals,
+}
+
+
+def test_membership_at_block_edges_and_below_one():
+    # oracle: the block lists; both sides of each block end, and i <= 0,
+    # through contains and __call__
+    for name, blocks in _BLOCKS.items():
+        chi = _SETS[name]
+        points = set(range(-5, 2))
+        for lo, hi in blocks:
+            points |= {lo - 1, lo, hi, hi + 1}
+        for i in sorted(points):
+            want = any(lo <= i <= hi for lo, hi in blocks)
+            assert chi.contains(i) is want and chi(i) == int(want), (name, i)
 
 
 def _brute_window(name, n, data):
@@ -254,6 +292,11 @@ def test_window_validation():
     with pytest.raises(ParameterError):
         st.WindowState("dyadic", k=0, n=70, m=1)  # beyond 64-bit
     with pytest.raises(ParameterError):
+        st.WindowState("dyadic", k=10**12, n=1, m=1)  # refused by bit length
+    with pytest.raises(ParameterError):
+        st.WindowState("dyadic", k=0, n=63, m=2)  # 3 * 2^62
+    assert st.WindowState("dyadic", k=0, n=63, m=1).n == 63  # 2^62
+    with pytest.raises(ParameterError):
         st.WindowState("sideways", k=0, n=1)
 
 
@@ -276,11 +319,38 @@ def test_eta_transport_identity_seeded():
         rhs = st.window_mean(st.eta_pullback(a, m), w_trans).mean
         assert abs(lhs - rhs) <= 1e-12
         assert lhs == rhs  # identical summation order, bitwise equal
+        # an indicator's row is an indicator: counted, with the dyadic hits
+        chi = _SETS[("squares", "dyadicblocks", "intervals")[seed % 3]]
+        dyadic = st.window_mean(chi, w_dyadic)
+        pulled = st.window_mean(st.eta_pullback(chi, m), w_trans)
+        assert pulled.hits == dyadic.hits is not None
+        assert (pulled.mean, pulled.oscillation) == (dyadic.mean, dyadic.oscillation)
 
 
 # ---------------------------------------------------------------------------
 # ergodicity probe
 # ---------------------------------------------------------------------------
+
+
+@given(name=hs.sampled_from(sorted(_SETS)), n=hs.integers(1, 400), data=hs.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_translation_defect_matches_brute_force(name, n, data):
+    # oracle: the set's values over the window and one index past it in a
+    # list, counted for the window and for the window shifted by one
+    chi = _SETS[name]
+    if data.draw(hs.booleans()):
+        m = data.draw(hs.integers(1, 40))
+        w = st.WindowState("dyadic", k=data.draw(hs.integers(0, 20)), n=min(n, 30), m=m)
+        values = [(chi(i), chi(i + 1)) for i in w.indices()]
+        hits, shifted = sum(v for v, _ in values), sum(v for _, v in values)
+    else:
+        _, k = _brute_window(name, n, data)
+        w = st.WindowState("translation", k=k, n=n)
+        values = [chi(i) for i in range(k + 1, k + n + 2)]
+        hits, shifted = sum(values[:-1]), sum(values[1:])
+    (rec,) = st.ergodicity_probe(chi, [w])
+    assert rec.estimate.hits == hits
+    assert rec.translation_defect.hex() == abs(hits / w.n - shifted / w.n).hex()
 
 
 def test_square_windows_closed_form_exact():
