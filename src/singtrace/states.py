@@ -282,7 +282,6 @@ def ergodicity_probe(spec, windows) -> list:
     case the measured mean is 0 or 1, however long the window runs).
     """
     chi = structured_set(spec) if not isinstance(spec, IndicatorAccessor) else spec
-    shifted = _shift_accessor(chi)
     out = []
     for w in windows:
         est = window_mean(chi, w)
@@ -290,7 +289,7 @@ def ergodicity_probe(spec, windows) -> list:
             # the shifted window k+2..k+n+1 differs from k+1..k+n at its ends
             shift_hits = est.hits - chi(w.k + 1) + chi(w.k + w.n + 1)
         else:
-            shift_hits = window_mean(shifted, w).hits
+            shift_hits = window_mean(_shift_accessor(chi), w).hits
         record = ErgodicityRecord(
             window=w,
             estimate=est,
