@@ -244,7 +244,7 @@ def _cmd_dilate(args) -> None:
     }
     e1 = set(report.estimate_one_violations)
     e2 = {n for n, _ in report.estimate_two_violations}
-    rows = [(n, n not in e1, n not in e2) for n in range(2, args.horizon + 1)]
+    rows = ((n, n not in e1, n not in e2) for n in range(2, args.horizon + 1))
     _emit(doc, (["n", "estimate_one_ok", "estimate_two_ok"], rows), args)
 
 

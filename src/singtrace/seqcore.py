@@ -216,11 +216,8 @@ class SpectralSequence:
             i = hi
 
     # ---- construction-time validation ---------------------------------------
-    def _validate_prefix(self, limit: int | None = None) -> None:
-        horizon = min(limit or PROBE_PREFIX, PROBE_PREFIX)
-        safe = self.safe_mu_horizon()
-        if safe < horizon:
-            horizon = int(safe)
+    def _validate_prefix(self) -> None:
+        horizon = min(PROBE_PREFIX, self.safe_mu_horizon())
         prev = None
         for i, v in enumerate(self._mu_run(1, horizon), 1):
             if not v > 0.0:

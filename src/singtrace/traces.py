@@ -12,6 +12,7 @@ exception, so parameter sweeps do not abort.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -19,7 +20,6 @@ from .eccentric import extract_pk
 from .errors import (
     DegenerateRatioError,
     InvariantViolationError,
-    MonotonicityError,
     NotEccentricError,
     ParameterError,
 )
@@ -260,6 +260,15 @@ class AveragedSequence(SpectralSequence):
     source may underflow to zero in 64-bit floats; such values are kept
     (the sequence stays non-increasing) and surface in the check report
     rather than raising.
+
+    ``_blocks[L]`` is (k^L, mu on the block ending there); ``_blocks[0]``
+    is (1, mu_1(T)).  The constructor evaluates the blocks up to
+    min(horizon, 4096), so data too short for them, or (horizon >= 2) an
+    undetermined source, fails there with the source's own error.  No lock
+    is needed: an entry depends only on its level, and a lookup writes slot
+    L with ``blocks[L:L + 1]`` instead of appending, so a racing or
+    re-entrant lookup that filled the slot first sees it rewritten with
+    equal bits.
     """
 
     family = "averaged"
@@ -270,49 +279,22 @@ class AveragedSequence(SpectralSequence):
             raise ParameterError(f"averaging parameter k must be >= 2, got {k}")
         if horizon < 1:
             raise ParameterError(f"horizon must be >= 1, got {horizon}")
-        source.summability()  # class must be certified
         self.source = source
         self.k = k
         self.horizon = horizon
-        self._block_cache: dict[int, float] = {}
-        self.first_underflow_n: int | None = None
-        self._probe(min(horizon, 4096))
-
-    def _power(self, j: int) -> int:
-        return self.k**j
-
-    def _level(self, n: int) -> int:
-        level = 0
-        while self._power(level) < n:
-            level += 1
-        return level
-
-    def _block_value(self, level: int) -> float:
-        if level not in self._block_cache:
-            hi = self._power(level)
-            lo = self._power(level - 1)
-            raw = max(self.source.S(hi) - self.source.S(lo), 0.0) / (hi - lo)
-            # the true block means are non-increasing; snap off rounding dust
-            ceiling = self.source.mu(1) if level == 1 else self._block_value(level - 1)
-            self._block_cache[level] = min(raw, ceiling)
-        return self._block_cache[level]
+        self._blocks: list[tuple[int, float]] = [(1, source.mu(1))]
+        self._mu(min(horizon, 4096))
 
     def _mu(self, n):
-        if n == 1:
-            return self.source.mu(1)
-        return self._block_value(self._level(n))
-
-    def _probe(self, limit: int) -> None:
-        prev = None
-        for n in range(1, limit + 1):
-            v = self._mu(n)
-            if v == 0.0 and self.first_underflow_n is None:
-                self.first_underflow_n = n
-            if prev is not None and v > prev * (1.0 + 1e-12):
-                raise MonotonicityError(
-                    f"averaged sequence increases at n = {n}: {prev!r} -> {v!r}"
-                )
-            prev = v
+        blocks = self._blocks
+        while blocks[-1][0] < n:
+            L = len(blocks)
+            lo, ceiling = blocks[L - 1]
+            hi = lo * self.k
+            raw = max(self.source.S(hi) - self.source.S(lo), 0.0) / (hi - lo)
+            # the true block means are non-increasing; snap off rounding dust
+            blocks[L:L + 1] = [(hi, min(raw, ceiling))]
+        return blocks[bisect_left(blocks, (n,))][1]
 
     @property
     def descriptor(self):
@@ -377,11 +359,9 @@ def k_dilation_with_checks(
     instance is skipped because k(n-1)+1 = 1 compares an eigenvalue with
     itself, which no positive sequence can satisfy with factor 2k.
     """
-    if k < 2:
-        raise ParameterError(f"dilation parameter k must be >= 2, got {k}")
+    tilde = DilatedSequence(s_seq, k)
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    tilde = DilatedSequence(s_seq, k)
     source = s_seq.source if isinstance(s_seq, AveragedSequence) else s_seq
     pair = DilationPair(S=s_seq, S_tilde=tilde, k=k, source=source)
 

@@ -361,6 +361,32 @@ def test_walks_in_threads_bitwise():
     assert shared._ckpts == lone._ckpts
 
 
+def test_checkpoint_recheck_under_the_lock():
+    # a competing sigma runs to the end inside the first lock entry, as a
+    # thread switch between the unlocked test and the lock would allow; the
+    # recheck must then skip the append, leaving a lone run's checkpoints
+    spec, n = "power:alpha=-0.5", 3 * sc.RUN + 5
+    seq = sc.make_family(spec)
+
+    class Interleave:
+        entered = 0
+
+        def __enter__(self):
+            self.entered += 1
+            if self.entered == 1:
+                seq.sigma(n)
+
+        def __exit__(self, *exc):
+            return False
+
+    seq._lock = Interleave()
+    value = seq.sigma(n)
+    lone = sc.make_family(spec)
+    assert value == lone.sigma(n)
+    assert seq._lock.entered > 1
+    assert seq._ckpts == lone._ckpts
+
+
 def _count_fetches(seq):
     """Wrap ``seq._mu_run``; the returned list gets each (lo, hi) fetched."""
     inner, runs = seq._mu_run, []

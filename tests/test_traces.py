@@ -1,12 +1,18 @@
 """Dixmier/Varga estimators, defect diagnostics, averaging and dilation."""
 
 import math
+import random
 
 import pytest
 
 from singtrace import seqcore as sc
 from singtrace import traces as tr
-from singtrace.errors import NotEccentricError, ParameterError
+from singtrace.errors import (
+    IndexRangeError,
+    NotEccentricError,
+    ParameterError,
+    UndeterminedSummabilityError,
+)
 
 
 def fsum_mean(values):
@@ -263,6 +269,75 @@ def test_averaged_monotone_within_horizon():
         assert all(x >= y for x, y in zip(values, values[1:])), spec
 
 
+def _block_mean_reference(source, k, n):
+    """mu_n of the k-adic block average by a level loop over k**L."""
+    value, level = source.mu(1), 1
+    while k ** (level - 1) < n:
+        hi, lo = k**level, k ** (level - 1)
+        raw = max(source.S(hi) - source.S(lo), 0.0) / (hi - lo)
+        value = min(raw, value)
+        level += 1
+    return value
+
+
+@pytest.mark.parametrize("spec", ["harmonic", "geometric:r=0.25", "aq:q=1"])
+def test_averaged_mu_matches_level_loop_at_block_ends(spec):
+    rng = random.Random(spec)
+    for k in range(2, 8):
+        ns = [k**L + d for L in range(1, 13) for d in (-1, 0, 1)]
+        ns += [rng.randint(1, 10**6) for _ in range(40)]
+        rng.shuffle(ns)
+        avg = tr.averaged_operator(sc.make_family(spec), k, 4096)
+        source = sc.make_family(spec)
+        got = [avg.mu(n).hex() for n in ns]
+        assert got == [_block_mean_reference(source, k, n).hex() for n in ns], k
+
+
+class _ReentrantHarmonic(sc.HarmonicSequence):
+    """Harmonic source whose S call number ``trigger`` first runs ``competing``."""
+
+    def __init__(self, trigger):
+        super().__init__()
+        self.trigger, self.calls, self.competing = trigger, 0, None
+
+    def S(self, n):
+        self.calls += 1
+        if self.calls == self.trigger:
+            self.competing()
+        return super().S(n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("trigger", range(1, 9))
+def test_averaged_table_survives_a_reentrant_lookup(k, trigger):
+    # the competing lookup runs to the end inside one S call of a shorter
+    # one, as a thread switch there would allow; the shorter lookup then
+    # rewrites its slot, and the table must equal a lone run's
+    source = _ReentrantHarmonic(trigger)
+    avg = tr.averaged_operator(source, k, 1)  # no S call before arming
+    source.competing = lambda: avg.mu(k**6)
+    avg.mu(k**4)
+    lone = tr.averaged_operator(sc.make_family("harmonic"), k, 1)
+    lone.mu(k**6)
+    assert source.calls >= trigger
+    assert avg._blocks == lone._blocks
+    ns = range(1, k**6 + 2, max(1, k**6 // 500))
+    assert [avg.mu(n) for n in ns] == [lone.mu(n) for n in ns]
+
+
+def test_averaged_constructor_evaluates_its_blocks():
+    values = [1.0, 0.5, 0.25, 0.2, 0.1]
+    short = sc.from_values(values, summable=False)
+    tr.averaged_operator(short, 2, 4)  # blocks end at 1, 2, 4
+    with pytest.raises(
+        IndexRangeError, match=r"^explicit sequence has 5 values, index 8 requested$"
+    ):
+        tr.averaged_operator(short, 2, 5)
+    tr.averaged_operator(sc.from_values(values), 2, 1)  # mu_1 only
+    with pytest.raises(UndeterminedSummabilityError):
+        tr.averaged_operator(sc.from_values(values), 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # k_dilation_with_checks
 # ---------------------------------------------------------------------------
@@ -321,3 +396,6 @@ def test_dilate_rejects_bad_parameters():
     avg = tr.averaged_operator(h, 2, 100)
     with pytest.raises(ParameterError):
         tr.k_dilation_with_checks(avg, 2, 0)
+    # the k check comes first
+    with pytest.raises(ParameterError, match=r"^dilation parameter k must be >= 2, got 1$"):
+        tr.k_dilation_with_checks(avg, 1, 0)
