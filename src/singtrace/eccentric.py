@@ -29,9 +29,9 @@ class PkWitness:
     k: int
     p: int
     deviation_2: float          # |1 - S_{2p}/S_p|
-    deviation_k: float          # |1 - S_{kp}/S_p|
+    deviation_k: float | None   # |1 - S_{kp}/S_p|; None past finite data
     derived_bound: float        # (k-1)/k**2
-    bound_ok: bool
+    bound_ok: bool | None
 
 
 @dataclass
@@ -136,12 +136,18 @@ def analyze_eccentricity(
 
 
 def _make_witness(seq, k, p, dev2) -> PkWitness:
-    sp = seq.S(p)
-    devk = abs(1.0 - seq.S(k * p) / sp)
-    bound = (k - 1) / (k * k)
+    """The witness p for k; S_p and S_2p define it, so when S_kp lies past
+    the end of finite data the k-step check is None (unverifiable)."""
+    sp, bound = seq.S(p), (k - 1) / (k * k)
+    try:
+        devk = abs(1.0 - seq.S(k * p) / sp)
+    except IndexRangeError:
+        devk = bound_ok = None
+    else:
+        bound_ok = devk <= bound + 1e-12
     return PkWitness(
         k=k, p=p, deviation_2=dev2, deviation_k=devk,
-        derived_bound=bound, bound_ok=devk <= bound + 1e-12,
+        derived_bound=bound, bound_ok=bound_ok,
     )
 
 
@@ -150,11 +156,12 @@ def extract_pk(seq, k_max: int, horizon: int) -> list:
 
     Returns one :class:`PkWitness` per k that has a witness; absent entries
     are data, not errors.  Each witness also carries the derived bound
-    |1 - S_kp/S_p| <= (k-1)/k**2, re-checked independently.  S_p and S_2p
-    come from two ascending :func:`~singtrace.seqcore.S_walk` passes, so a
-    direct-sum family is scanned in one pass over its terms with O(1)
-    memory.  ``seq`` only needs an ``S(n)`` method, so structural test
-    doubles are accepted.
+    |1 - S_kp/S_p| <= (k-1)/k**2, re-checked independently (None where
+    k*p lies past the end of finite data).  S_p and S_2p come from two
+    ascending :func:`~singtrace.seqcore.S_walk` passes, so a direct-sum
+    family is scanned in one pass over its terms with O(1) memory.
+    ``seq`` only needs an ``S(n)`` method, so structural test doubles are
+    accepted.
     """
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
@@ -177,13 +184,7 @@ def extract_pk(seq, k_max: int, horizon: int) -> list:
         while k <= k_max and dev <= 1.0 / (k * k):
             found[k] = (p, dev)
             k += 1
-    out = []
-    for k, (p, dev) in found.items():
-        try:
-            out.append(_make_witness(seq, k, p, dev))
-        except IndexRangeError:
-            continue  # k*p beyond finite data: the k-step bound is unverifiable
-    return out
+    return [_make_witness(seq, k, p, dev) for k, (p, dev) in found.items()]
 
 
 def concavity_interpolation_check(

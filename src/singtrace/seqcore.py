@@ -32,7 +32,6 @@ Index arguments are Python ints and may exceed 2**64; each family raises
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,7 +87,6 @@ class SpectralSequence:
     family = "abstract"
 
     def __init__(self):
-        self._lock = threading.Lock()  # guards only the append to _ckpts
         self._ckpts: list[tuple[float, float]] = [(0.0, 0.0)]  # state at k * RUN
         self._info: SummabilityInfo | None = None
 
@@ -183,20 +181,25 @@ class SpectralSequence:
         The chain resumes from the checkpoint at or below n; resuming from a
         saved (partial, carry) state is bitwise a fresh pass from index 1.
         Terms come from ``_mu_run`` in runs that end at multiples of RUN,
-        none past ``stop``.  ``_ckpts[k]`` is the state at k * RUN: the chain
-        appends each multiple it passes that the list lacks, before it
-        yields that state.  It starts at or below the last checkpoint, so
-        the list stays dense.  Every term and partial sum is >= 0, so
-        ``s >= x`` is NeumaierSum's ``abs(s) >= abs(x)``.
+        none past ``stop``.  ``_ckpts[k]`` is the state at k * RUN.  Every
+        term and partial sum is >= 0, so ``s >= x`` is NeumaierSum's
+        ``abs(s) >= abs(x)``.
+
+        No lock guards ``_ckpts``: a chain saves the multiple m * RUN it
+        passes with the slot write ``ckpts[m:m + 1] = [state]``, one atomic
+        operation in CPython, before it yields that state.  It starts at or
+        below the last checkpoint and the list never shrinks, so the list
+        then holds at least m entries.  The write appends, or it rewrites
+        slot m, which a competing chain (a thread, or a re-entrant call)
+        saved after the length test, with equal bits: every chain's state
+        at m * RUN is a fresh pass's.  The list never gets a gap.
         """
         ckpts = self._ckpts
         k = min(n // RUN, len(ckpts) - 1)
         i, (s, c) = k * RUN, ckpts[k]
         while True:
             if i == len(ckpts) * RUN:
-                with self._lock:
-                    if i == len(ckpts) * RUN:
-                        ckpts.append((s, c))
+                ckpts[i // RUN:i // RUN + 1] = [(s, c)]
             if i == n:
                 yield s + c - offset
                 n += step

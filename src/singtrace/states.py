@@ -289,7 +289,7 @@ def ergodicity_probe(spec, windows) -> list:
             # the shifted window k+2..k+n+1 differs from k+1..k+n at its ends
             shift_hits = est.hits - chi(w.k + 1) + chi(w.k + w.n + 1)
         else:
-            shift_hits = window_mean(_shift_accessor(chi), w).hits
+            shift_hits = sum(map(chi, (i + 1 for i in w.indices())))
         record = ErgodicityRecord(
             window=w,
             estimate=est,
@@ -309,16 +309,6 @@ def ergodicity_probe(spec, windows) -> list:
             record.single_block = (lo - 1).bit_length() == (hi - 1).bit_length()
         out.append(record)
     return out
-
-
-class _shift_accessor:
-    is_indicator = True
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __call__(self, i: int):
-        return self.inner(i + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,10 @@ class AveragedSequence(SpectralSequence):
     ``_blocks[L]`` is (k^L, mu on the block ending there); ``_blocks[0]``
     is (1, mu_1(T)).  The constructor evaluates the blocks up to
     min(horizon, 4096), so data too short for them, or (horizon >= 2) an
-    undetermined source, fails there with the source's own error.  No lock
-    is needed: an entry depends only on its level, and a lookup writes slot
-    L with ``blocks[L:L + 1]`` instead of appending, so a racing or
-    re-entrant lookup that filled the slot first sees it rewritten with
-    equal bits.
+    undetermined source, fails there with the source's own error.  A
+    lookup writes slot L with ``blocks[L:L + 1]``, as
+    ``SpectralSequence._sums`` writes its checkpoints, and for the same
+    reason: an entry depends only on its level.
     """
 
     family = "averaged"

@@ -1,6 +1,7 @@
 """CLI dispatch, report schema, determinism and exit codes."""
 
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -208,6 +209,47 @@ def test_exit_codes(capsys):
         capsys=capsys,
     )
     assert code == 1 and "float range" in err
+
+
+def test_witnesses_past_the_end_of_finite_data(tmp_path, capsys):
+    # S_p and S_2p define a witness; where k*p lies past the data, the
+    # k-step check is null instead of dropping the witness or failing
+    values = [1.0] * 400 + [1e-12] * 600
+    path = tmp_path / "short.txt"
+    path.write_text("# trace=nonsummable\n" + "".join(f"{v!r}\n" for v in values))
+    sums = [math.fsum(values[:n]) for n in range(len(values) + 1)]
+    expected = {
+        k: min(p for p in range(1, 501) if abs(1.0 - sums[2 * p] / sums[p]) <= 1.0 / k**2)
+        for k in range(2, 7)
+    }
+    assert expected == {2: 321, 3: 361, 4: 377, 5: 385, 6: 390}
+
+    code, out, _ = run_cli(
+        "pk", "--seq", f"file:{path}", "--kmax", "6", "--horizon", "500", capsys=capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["absent"] == []
+    witnesses = doc["results"]["witnesses"]
+    assert {w["k"]: w["p"] for w in witnesses} == expected
+    for w in witnesses:
+        assert (w["deviation_k"] is None) == (w["k"] * w["p"] > len(values))
+        assert (w["bound_ok"] is None) == (w["deviation_k"] is None)
+    assert witnesses[0]["bound_ok"] is True
+
+    code, out, _ = run_cli(
+        "pk", "--seq", f"file:{path}", "--kmax", "6", "--horizon", "500",
+        "--format", "csv", capsys=capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[2] == "3,361,0.108033240998,None,None"
+
+    code, out, _ = run_cli(
+        "analyze", "--seq", f"file:{path}", "--horizon", "500", "--eps", "0.05",
+        capsys=capsys,
+    )
+    assert code == 0
+    assert any(w["deviation_k"] is None for w in json.loads(out)["results"]["witnesses"])
 
 
 def test_example4_direct_beyond_float_range_exits_1(capsys):

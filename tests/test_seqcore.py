@@ -4,7 +4,9 @@ Expected values come from independent oracles: direct summation with
 math.fsum, closed forms, and small rational computations.
 """
 
+import copy
 import math
+import pickle
 import random
 import sys
 import threading
@@ -317,8 +319,8 @@ def _run_threads(target, args):
 
 
 def test_cache_thread_safety_bitwise():
-    # cold queries in shuffled order from several threads: the kernel runs
-    # outside the lock, and each thread appends the checkpoints it passes
+    # cold queries in shuffled order from several threads: each thread
+    # writes the checkpoints it passes to their slots, with no lock
     spec, top = "power:alpha=-0.5", 30_000
     sums = _neumaier_sums(sc.make_family(spec), top)
     fresh = sc.make_family(spec)
@@ -361,30 +363,88 @@ def test_walks_in_threads_bitwise():
     assert shared._ckpts == lone._ckpts
 
 
-def test_checkpoint_recheck_under_the_lock():
-    # a competing sigma runs to the end inside the first lock entry, as a
-    # thread switch between the unlocked test and the lock would allow; the
-    # recheck must then skip the append, leaving a lone run's checkpoints
+def test_checkpoint_slot_write_survives_every_interleaving():
+    # at the N-th length test of the checkpoint list, a competing sigma runs
+    # to the end before the test sees the length it read, as a thread switch
+    # or a re-entrant call between the test and the slot write would allow;
+    # for every N the value and the list must equal a lone run's
     spec, n = "power:alpha=-0.5", 3 * sc.RUN + 5
-    seq = sc.make_family(spec)
 
-    class Interleave:
-        entered = 0
+    class Interleave(list):
+        def __init__(self, items, seq, at):
+            super().__init__(items)
+            self.seq, self.at, self.calls = seq, at, 0
 
-        def __enter__(self):
-            self.entered += 1
-            if self.entered == 1:
-                seq.sigma(n)
+        def __len__(self):
+            length = super().__len__()
+            self.calls += 1
+            if self.calls == self.at:
+                self.seq.sigma(n)
+            return length
 
-        def __exit__(self, *exc):
-            return False
-
-    seq._lock = Interleave()
-    value = seq.sigma(n)
     lone = sc.make_family(spec)
-    assert value == lone.sigma(n)
-    assert seq._lock.entered > 1
-    assert seq._ckpts == lone._ckpts
+    lone._ckpts = Interleave(lone._ckpts, lone, None)
+    expected = lone.sigma(n)
+    assert lone._ckpts.calls > 3
+    for at in range(1, lone._ckpts.calls + 1):
+        seq = sc.make_family(spec)
+        seq._ckpts = Interleave(seq._ckpts, seq, at)
+        assert seq.sigma(n) == expected, at
+        assert seq._ckpts.calls > at
+        assert list(seq._ckpts) == list(lone._ckpts), at
+
+
+PICKLE_SPECS = [
+    "harmonic",
+    "power:alpha=-0.5",
+    "powlog:alpha=-2",
+    "geometric:r=0.5",
+    "aq:q=2",
+    "logstep",
+    "scale:c=3,(harmonic)",
+    "sum",
+    "values",
+    "averaged",
+    "dilated",
+]
+
+
+def _pickle_case(name):
+    if name == "sum":
+        return sc.pointwise_sum(sc.make_family("harmonic"), sc.make_family("power:alpha=-2"))
+    if name == "values":
+        return sc.from_values([1.0 / j for j in range(1, 5001)], summable=False)
+    if name == "averaged":
+        return averaged_operator(sc.make_family("power:alpha=-0.5"), 2, 1000)
+    if name == "dilated":
+        return DilatedSequence(sc.make_family("harmonic"), 3)
+    return sc.make_family(name)
+
+
+def _outcomes(seq):
+    """sigma, S and mu below and above DIRECT_CAP: the value's bits, or the
+    error type where the family is not evaluable there."""
+    out = []
+    for n in [1, 777, 3 * sc.RUN + 5, sc.DIRECT_CAP, sc.DIRECT_CAP + 1, 1 << 20, 10**30]:
+        for f in (seq.sigma, seq.S, seq.mu):
+            try:
+                out.append(f(n).hex())
+            except IndexRangeError as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+@pytest.mark.parametrize("name", PICKLE_SPECS)
+def test_sequences_pickle_and_deepcopy_with_their_checkpoints(name):
+    seq = _pickle_case(name)
+    seq.sigma(3 * sc.RUN + 5)
+    seq.S(2 * sc.RUN)
+    copies = [pickle.loads(pickle.dumps(seq)), copy.deepcopy(seq)]
+    for c in copies:
+        assert c._ckpts == seq._ckpts
+    expected = _outcomes(seq)
+    for c in copies:
+        assert _outcomes(c) == expected
 
 
 def _count_fetches(seq):
