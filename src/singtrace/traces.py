@@ -153,19 +153,21 @@ def varga_estimate(
 ) -> TraceEstimate:
     """Mean of S_{n_k}(A)/S_{n_k}(T) along the witness samples n_k = k p_k.
 
-    The p_k come from :func:`extract_pk` on T; with fewer than three
-    witnesses the estimate is flagged low-confidence.  The oscillation is
-    the spread (max - min) of the raw samples, standing for the freedom in
-    the choice of limit point.
+    The p_k come from :func:`extract_pk` on T; a witness whose k p_k lies
+    past the end of finite data (``deviation_k`` None) gives no sample.
+    With fewer than three samples the estimate is flagged low-confidence.
+    The oscillation is the spread (max - min) of the raw samples, standing
+    for the freedom in the choice of limit point.
     """
     if _is_infinite_pair(a_seq, t_seq):
         return _infinite_estimate("varga", [])
-    witnesses = extract_pk(t_seq, k_max, horizon)
-    if not witnesses:
+    cutoffs = [
+        w.k * w.p for w in extract_pk(t_seq, k_max, horizon) if w.deviation_k is not None
+    ]
+    if not cutoffs:
         raise NotEccentricError(
             f"T = {t_seq.descriptor} has no ratio witnesses up to horizon {horizon}"
         )
-    cutoffs = [w.k * w.p for w in witnesses]
     samples = []
     for n_k in cutoffs:
         st = t_seq.S(n_k)

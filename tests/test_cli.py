@@ -251,6 +251,16 @@ def test_witnesses_past_the_end_of_finite_data(tmp_path, capsys):
     assert code == 0
     assert any(w["deviation_k"] is None for w in json.loads(out)["results"]["witnesses"])
 
+    # varga samples only at the witness whose k*p lies inside the data
+    code, out, _ = run_cli(
+        "trace", "varga", "--a", f"file:{path}", "--t", f"file:{path}",
+        "--kmax", "6", "--horizon", "500", capsys=capsys,
+    )
+    assert code == 0
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["cutoff"] == [2 * expected[2]]
+    assert diagnostics["low_confidence"] is True
+
 
 def test_example4_direct_beyond_float_range_exits_1(capsys):
     code, out, err = run_cli(

@@ -160,8 +160,9 @@ def per_term_S(seq):
 
 
 def reference_pk(seq, k_max, horizon):
-    """(k, p_k, deviation) from one S(p) and one S(2p) value per p, in order;
-    witnesses whose S(kp) is not evaluable are dropped, as extract_pk does."""
+    """(k, p_k, deviation, k-step deviation) from one S(p) and one S(2p)
+    value per p, in order; S_p and S_2p define a witness, so one whose S(kp)
+    is not evaluable is kept with a None k-step deviation."""
     S = per_term_S(seq)
     pending = {k: 1.0 / (k * k) for k in range(2, k_max + 1)}
     found = []
@@ -181,11 +182,15 @@ def reference_pk(seq, k_max, horizon):
     out = []
     for k, p, dev in sorted(found):
         try:
-            seq.S(k * p)
+            devk = abs(1.0 - S(k * p) / S(p))
         except IndexRangeError:
-            continue
-        out.append((k, p, dev))
+            devk = None
+        out.append((k, p, dev, devk))
     return out
+
+
+def _hex(x):
+    return None if x is None else x.hex()
 
 
 @pytest.mark.parametrize(
@@ -199,15 +204,22 @@ def reference_pk(seq, k_max, horizon):
         (lambda: sc.make_family("powlog:alpha=1"), 3, 4000),
         # explicit data shorter than 2 * horizon: S_2p leaves it at p = 151
         (lambda: sc.from_values([1.0 / i for i in range(1, 301)], summable=False), 6, 400),
+        # S_2p stays inside the data, S_kp leaves it for k = 3..6
+        (lambda: sc.from_values([1.0] * 400 + [1e-12] * 600, summable=False), 6, 500),
     ],
-    ids=["flat", "zero-head", "geometric", "power-20", "power-0.5", "powlog", "explicit"],
+    ids=[
+        "flat", "zero-head", "geometric", "power-20", "power-0.5", "powlog",
+        "explicit", "explicit-kp-past-end",
+    ],
 )
 def test_extract_pk_matches_per_call_scan(make, k_max, horizon):
     witnesses = ec.extract_pk(make(), k_max, horizon)
     want = reference_pk(make(), k_max, horizon)
-    assert [(w.k, w.p, w.deviation_2.hex()) for w in witnesses] == [
-        (k, p, dev.hex()) for k, p, dev in want
+    assert [(w.k, w.p, w.deviation_2.hex(), _hex(w.deviation_k)) for w in witnesses] == [
+        (k, p, dev.hex(), _hex(devk)) for k, p, dev, devk in want
     ]
+    for w in witnesses:
+        assert (w.bound_ok is None) == (w.deviation_k is None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from singtrace import eccentric as ec
 from singtrace import seqcore as sc
 from singtrace import traces as tr
 from singtrace.errors import (
@@ -135,6 +136,18 @@ def test_varga_infinite_verdict_takes_precedence():
         sc.make_family("harmonic"), sc.make_family("geometric:r=0.5"), 4, 1 << 12
     )
     assert est.infinite and math.isinf(est.value)
+
+
+def test_varga_skips_witnesses_past_the_end_of_finite_data():
+    # extract_pk keeps the witnesses for k = 3..6 with deviation_k None,
+    # since 3 * 361 and beyond lie past the 1000 values; only k = 2 samples
+    values = [1.0] * 400 + [1e-12] * 600
+    t = sc.from_values(values, summable=False)
+    assert [w.deviation_k is None for w in ec.extract_pk(t, 6, 500)] == [False] + [True] * 4
+    est = tr.varga_estimate(sc.from_values(values, summable=False), t, 6, 500)
+    assert est.cutoff == [2 * 321]
+    assert est.samples == [1.0]
+    assert est.low_confidence
 
 
 def test_varga_low_confidence_flag():
